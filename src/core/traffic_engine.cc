@@ -26,6 +26,11 @@
 namespace xdeal {
 namespace {
 
+/// The fold every fingerprint in the engine starts from. Service-mode
+/// fingerprints are a separate domain from batch ones because the epoch
+/// header is folded before any deal.
+constexpr uint64_t kFpInit = 0x452821E638D01377ULL;
+
 /// Per-deal PartyFactory: injects the offline-party strategy, arms the
 /// watchtower, and registers broker reservations — all through the uniform
 /// OnDeployed hook.
@@ -102,7 +107,7 @@ class TrafficPartyFactory : public PartyFactory {
 };
 
 /// One deal's full lifetime inside the shared World. The runtime and
-/// checker are arena-allocated (one run-scoped Arena owns all D of them);
+/// checker are arena-allocated (one window-scoped Arena owns all of them);
 /// the slot holds non-owning pointers.
 struct DealSlot {
   TrafficDealRecord rec;
@@ -232,9 +237,10 @@ DealSpec BuildDoubleSpendSpec(DealEnv* env, const DealSlot& host,
 /// Cross-references escrow receipts between deals: a party whose escrow pull
 /// failed in one deal while the same token funded its escrow in another is
 /// a cross-deal double-spender. Evidence-based — independent of injection.
+/// Scans each chain's receipts from `receipt_start[c]` on.
 std::vector<DoubleSpendIncident> DetectDoubleSpends(
     const World& world, const std::vector<DealSlot>& slots,
-    const std::vector<size_t>* receipt_start = nullptr) {
+    const std::vector<size_t>& receipt_start) {
   // (chain, escrow contract) -> (deal, asset index).
   std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>>
       escrow_site;
@@ -258,8 +264,7 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
   std::map<std::tuple<uint32_t, uint32_t, uint32_t>, Evidence> by_token;
   for (uint32_t c = 0; c < world.num_chains(); ++c) {
     const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    size_t start = receipt_start != nullptr ? (*receipt_start)[c] : 0;
-    for (size_t ri = start; ri < all.size(); ++ri) {
+    for (size_t ri = receipt_start[c]; ri < all.size(); ++ri) {
       const Receipt& r = all[ri];
       if (r.tag != "escrow") continue;
       auto site = escrow_site.find({r.chain.v, r.contract.v});
@@ -278,8 +283,7 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
       for (size_t winner : ev.funded) {
         if (winner == loser || !seen.insert({loser, winner}).second) continue;
         DoubleSpendIncident incident;
-        // Report GLOBAL deal indices (== the local slot index in batch mode,
-        // where rec.index == d; the epoch offset in service mode).
+        // Report GLOBAL deal indices, not window-local slot indices.
         incident.loser_deal = slots[loser].rec.index;
         incident.winner_deal = slots[winner].rec.index;
         incident.party = std::get<2>(key);
@@ -306,8 +310,7 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
 void TaintBouncedBrokerEscrows(const World& world,
                                std::vector<DealSlot>* slots,
                                const BrokerPool& pool,
-                               const std::vector<size_t>* receipt_start =
-                                   nullptr) {
+                               const std::vector<size_t>& receipt_start) {
   // (chain, escrow contract) -> deal index, broker deals only.
   std::map<std::pair<uint32_t, uint32_t>, size_t> site;
   for (size_t d = 0; d < slots->size(); ++d) {
@@ -321,8 +324,7 @@ void TaintBouncedBrokerEscrows(const World& world,
   }
   for (uint32_t c = 0; c < world.num_chains(); ++c) {
     const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    size_t start = receipt_start != nullptr ? (*receipt_start)[c] : 0;
-    for (size_t ri = start; ri < all.size(); ++ri) {
+    for (size_t ri = receipt_start[c]; ri < all.size(); ++ri) {
       const Receipt& r = all[ri];
       if (r.tag != "escrow" || r.status.ok()) continue;
       auto it = site.find({r.chain.v, r.contract.v});
@@ -337,64 +339,203 @@ void TaintBouncedBrokerEscrows(const World& world,
   }
 }
 
-}  // namespace
+/// Which optional field groups the per-deal fold includes. Each group is
+/// gated on its knobs so that configurations predating it keep their
+/// historical fingerprints.
+struct FoldShape {
+  bool arrival = false;    // arrival and admission ticks
+  bool admission = false;  // shed/retries and admission wait
+  bool broker = false;     // hosting broker and its capital/inventory need
+  bool hopchain = false;   // per-hop price points
+  bool xshard = false;     // cross-shard placement
+};
 
-uint64_t TrafficDealSeed(uint64_t base_seed, uint64_t deal_index) {
-  SplitMix64 base(base_seed ^ 0x7261666669636BULL);  // "traffick" stream
-  SplitMix64 mixed(base.Next() ^
-                   (deal_index * 0xD1B54A32D192ED03ULL +
-                    0x9E3779B97F4A7C15ULL));
-  uint64_t seed = mixed.Next();
-  return seed == 0 ? 1 : seed;
+/// The per-deal record fold shared by the batch report and the epoch seal.
+uint64_t FoldDeal(uint64_t fp, const TrafficDealRecord& rec,
+                  const FoldShape& shape) {
+  fp = MixFingerprint(fp, rec.index);
+  fp = MixFingerprint(fp, rec.seed);
+  fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
+                              static_cast<uint64_t>(rec.committed) << 1 |
+                              static_cast<uint64_t>(rec.aborted) << 2 |
+                              static_cast<uint64_t>(rec.mixed) << 3 |
+                              static_cast<uint64_t>(rec.all_settled) << 4 |
+                              static_cast<uint64_t>(rec.atomic) << 5 |
+                              static_cast<uint64_t>(rec.safety_ok) << 6 |
+                              static_cast<uint64_t>(rec.weak_liveness_ok)
+                                  << 7 |
+                              static_cast<uint64_t>(rec.strong_liveness_ok)
+                                  << 8 |
+                              static_cast<uint64_t>(rec.tainted) << 9);
+  fp = MixFingerprint(fp, rec.gas);
+  fp = MixFingerprint(fp, rec.messages);
+  fp = MixFingerprint(fp, rec.settle_time);
+  fp = MixFingerprint(fp, FingerprintString(rec.violation));
+  if (shape.arrival) {
+    fp = MixFingerprint(fp, rec.arrival_at);
+    fp = MixFingerprint(fp, rec.admitted_at);
+  }
+  if (shape.admission) {
+    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.shed) |
+                                static_cast<uint64_t>(rec.admission_retries)
+                                    << 1);
+    fp = MixFingerprint(fp, rec.admission_wait);
+  }
+  if (shape.broker) {
+    fp = MixFingerprint(fp, rec.broker);
+    fp = MixFingerprint(fp, rec.broker_capital_need);
+    fp = MixFingerprint(fp, rec.broker_inventory_need);
+  }
+  if (shape.hopchain) {
+    fp = MixFingerprint(fp, rec.price_points.size());
+    for (const BrokerPool::PricePoint& pt : rec.price_points) {
+      fp = MixFingerprint(fp, pt.occupancy);
+      fp = MixFingerprint(fp, pt.margin);
+    }
+  }
+  if (shape.xshard) {
+    fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
+  }
+  return fp;
 }
 
-TrafficReport RunTraffic(const TrafficOptions& options) {
-  const size_t num_deals = options.num_deals;
-  const size_t num_chains = std::max<size_t>(1, options.num_chains);
+uint64_t FoldIncidents(uint64_t fp,
+                       const std::vector<DoubleSpendIncident>& incidents) {
+  for (const DoubleSpendIncident& incident : incidents) {
+    fp = MixFingerprint(fp, incident.loser_deal);
+    fp = MixFingerprint(fp, incident.winner_deal);
+    fp = MixFingerprint(fp, incident.party);
+  }
+  return fp;
+}
 
-  EnvConfig env_config;
-  env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
-  DealEnv env(std::move(env_config));
-  if (options.indexed_observation) {
-    // Must flip before any block is produced: delivery mode is part of the
-    // run's deterministic schedule (chain/world.h).
-    env.world().set_observation_delivery(ObservationDelivery::kIndexed);
+/// Folds per-broker records (occupancy, attribution, portfolio verdicts)
+/// so a changed broker fate can never alias a report; counts the brokers
+/// whose portfolio check failed into `portfolio_violations`.
+uint64_t FoldBrokerRecords(uint64_t fp, const std::vector<BrokerRecord>& brokers,
+                           size_t* portfolio_violations) {
+  for (const BrokerRecord& broker : brokers) {
+    if (!broker.portfolio_ok) ++*portfolio_violations;
+    fp = MixFingerprint(fp, broker.index);
+    fp = MixFingerprint(fp, broker.party);
+    fp = MixFingerprint(fp, broker.deals);
+    fp = MixFingerprint(fp, broker.committed);
+    fp = MixFingerprint(fp, broker.aborted);
+    fp = MixFingerprint(fp, broker.shed);
+    fp = MixFingerprint(fp, broker.delayed);
+    fp = MixFingerprint(fp, broker.gas);
+    fp = MixFingerprint(fp, static_cast<uint64_t>(broker.coin_delta));
+    fp = MixFingerprint(fp, static_cast<uint64_t>(broker.inventory_delta));
+    fp = MixFingerprint(fp, broker.peak_capital_in_use);
+    fp = MixFingerprint(fp, broker.peak_inventory_in_use);
+    fp = MixFingerprint(fp, broker.portfolio_ok ? 1 : 0);
+  }
+  return fp;
+}
+
+BrokerDealOutcome OutcomeOf(const TrafficDealRecord& rec) {
+  BrokerDealOutcome outcome;
+  outcome.deal_index = rec.index;
+  outcome.arrival_at = rec.arrival_at;
+  outcome.admitted_at = rec.admitted_at;
+  outcome.settle_time = rec.settle_time;
+  outcome.latency = rec.latency;
+  outcome.started = rec.started;
+  outcome.committed = rec.committed;
+  outcome.aborted = rec.aborted;
+  outcome.shed = rec.shed;
+  outcome.all_settled = rec.all_settled;
+  outcome.gas = rec.gas;
+  return outcome;
+}
+
+/// The run's global arrival schedule over deal indices [0, n): a pure
+/// function of (process, base_seed, mean gap), so it is identical whether
+/// deals deploy eagerly or through admission events, across any thread
+/// count, and whether a service run was restored or ran straight through.
+std::vector<Tick> ArrivalsOf(const TrafficOptions& options, size_t n) {
+  return BuildArrivalSchedule(
+      options.arrival, n, options.base_seed,
+      options.arrival == ArrivalProcess::kFixedStagger
+          ? static_cast<double>(options.admission_gap)
+          : options.mean_interarrival);
+}
+
+EnvConfig EnvConfigOf(const TrafficOptions& options) {
+  EnvConfig config;
+  config.seed = options.base_seed;
+  config.block_interval = options.block_interval;
+  return config;
+}
+
+/// The one engine core both entry points run. It owns the backend every
+/// deal executes against — env, pool chains, brokers, CBC shards and their
+/// drivers, the tower operator, the injection sets, and the durable-event
+/// handlers — plus the state that crosses windows. A window is a run of
+/// consecutive deal indices taken through the whole deal lifecycle:
+/// RunTraffic runs one window of all D deals, TrafficService one window
+/// per epoch.
+struct TrafficCore {
+  /// What one window produced, for the caller to count and fold.
+  struct Window {
+    std::vector<TrafficDealRecord> deals;
+    /// Per-deal violations in index order, then full-scan oracle ones.
+    std::vector<TrafficViolation> violations;
+    std::vector<DoubleSpendIncident> double_spends;
+    size_t stale_decide_rejections = 0;
+    /// Gas from this window's receipts that no deal of the window owns.
+    uint64_t untagged_gas = 0;
+    /// Scheduler time when the window reached its drain point.
+    Tick sealed_at = 0;
+    /// Deepest event queue while draining, and when it was reached.
+    size_t peak_backlog = 0;
+    Tick peak_backlog_at = 0;
+    AdmissionStats admission;
+  };
+
+  /// `drain`: batch runs drain the event queue to empty; the
+  /// service stops each window when only durable events remain.
+  TrafficCore(const TrafficOptions& o, bool drain)
+      : options(o),
+        drain_to_empty(drain),
+        num_chains(std::max<size_t>(1, o.num_chains)),
+        mix(o.protocol_mix.empty() ? std::vector<Protocol>{Protocol::kTimelock}
+                                   : o.protocol_mix),
+        double_spend(o.double_spend_deals.begin(), o.double_spend_deals.end()),
+        offline(o.offline_party_deals.begin(), o.offline_party_deals.end()),
+        stale_proof(o.stale_proof_deals.begin(), o.stale_proof_deals.end()),
+        env(EnvConfigOf(o)) {}
+  TrafficCore(const TrafficCore&) = delete;
+  TrafficCore& operator=(const TrafficCore&) = delete;
+
+  /// True when some deal in [0, num_deals) runs CBC.
+  bool AnyCbcIn(size_t num_deals) const {
+    for (size_t d = 0; d < std::min(num_deals, mix.size()); ++d) {
+      if (mix[d] == Protocol::kCbc) return true;
+    }
+    return false;
   }
 
-  // Every per-deal runtime and checker lives here — one bump allocation
-  // each instead of 2D heap round-trips at D = 10^5.
-  Arena arena;
+  void Build(bool any_cbc);
+  Status Attach(const std::vector<uint32_t>* shard_epochs,
+                const Bytes* broker_blob);
+  Window RunWindow(size_t first, size_t count, Tick anchor);
 
-  // The shared chain pool every deal's assets are multiplexed onto.
-  std::vector<ChainId> pool;
-  for (size_t c = 0; c < num_chains; ++c) {
-    ChainId id = env.AddChain("pool-" + std::to_string(c));
-    env.world().chain(id)->set_max_txs_per_block(options.block_capacity);
-    pool.push_back(id);
+  /// The fold shape of this run; the optional arrival and admission groups
+  /// are the caller's choice (batch and epoch folds differ there).
+  FoldShape Shape(bool arrival, bool admission) const {
+    FoldShape shape;
+    shape.arrival = arrival;
+    shape.admission = admission;
+    shape.broker = broker_pool->enabled();
+    shape.hopchain =
+        broker_pool->enabled() &&
+        (broker_pool->ChainDepth() > 1 || broker_pool->DynamicPricing());
+    shape.xshard = options.cbc_xshard_every > 0;
+    return shape;
   }
 
-  // The broker subsystem: B shared broker identities with finite working
-  // capital and commodity inventory, deals round-robined over them. Inert
-  // when num_brokers == 0 (no parties, tokens, or RNG draws), which is what
-  // keeps zero-broker runs bit-identical to the legacy engine.
-  BrokerPool broker_pool(&env, options.brokers, pool);
-
-  const std::vector<Protocol>& mix =
-      options.protocol_mix.empty()
-          ? std::vector<Protocol>{Protocol::kTimelock}
-          : options.protocol_mix;
-  bool any_cbc = false;
-  for (size_t d = 0; d < num_deals; ++d) {
-    any_cbc = any_cbc || mix[d % mix.size()] == Protocol::kCbc;
-  }
-
-  // The certified backend all CBC deals execute against: S shards, each a
-  // chain + validator set of its own, deals hashed to shards by deal id.
-  // With S = 1 this is exactly §6's single shared CBC — one contention
-  // point, as the paper envisions it.
-  std::unique_ptr<CbcService> cbc_service;
-  if (any_cbc) {
+  CbcService::Options CbcOptions() const {
     CbcService::Options service_options;
     service_options.num_shards = std::max<size_t>(1, options.cbc_shards);
     service_options.f = 1;
@@ -403,55 +544,192 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
         "traffic-" + std::to_string(options.base_seed);
     service_options.block_interval = options.block_interval;
     service_options.block_capacity = options.block_capacity;
-    cbc_service = std::make_unique<CbcService>(&env.world(), service_options);
+    return service_options;
   }
-  TimelockDriver timelock_driver;
-  std::unique_ptr<CbcDriver> cbc_driver;
-  if (any_cbc) {
+
+  void MakeCbcDriver() {
     // The schedule carries options.delta into both protocols; keep the §6
     // "wait at least Δ before rescinding" precondition satisfied when the
     // workload asks for a Δ above the stock patience.
     CbcDriver::Options cbc_options;
     cbc_options.abort_patience =
         std::max(cbc_options.abort_patience, options.delta);
-    cbc_driver =
-        std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
+    cbc_driver = std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
   }
 
-  // Watchtower infrastructure: one operator identity, one tower per guarded
-  // deal (towers must outlive the scheduler drain).
+  void RegisterHandlers() {
+    Scheduler& sched = env.world().scheduler();
+    TrafficCore* self = this;
+    sched.RegisterDurableHandler("cbc-reconfig", [self](uint64_t shard) {
+      if (self->cbc_service != nullptr) {
+        self->cbc_service->Reconfigure(static_cast<size_t>(shard));
+      }
+    });
+    sched.RegisterDurableHandler("broker-crash", [self](uint64_t b) {
+      self->broker_pool->CrashBroker(static_cast<size_t>(b));
+    });
+    sched.RegisterDurableHandler("broker-recover", [self](uint64_t b) {
+      self->broker_pool->RecoverBroker(static_cast<size_t>(b));
+    });
+  }
+
+  const TrafficOptions options;
+  const bool drain_to_empty;
+  const size_t num_chains;
+  const std::vector<Protocol> mix;
+  const std::set<size_t> double_spend;
+  const std::set<size_t> offline;
+  const std::set<size_t> stale_proof;
+
+  DealEnv env;
+  /// The shared chain pool every deal's assets are multiplexed onto.
+  std::vector<ChainId> pool;
+  std::unique_ptr<BrokerPool> broker_pool;
+  std::unique_ptr<CbcService> cbc_service;
+  TimelockDriver timelock_driver;
+  std::unique_ptr<CbcDriver> cbc_driver;
+  /// One tower per guarded deal. Towers of closed windows stay subscribed
+  /// but are inert: their deal tags never recur.
   std::vector<std::unique_ptr<Watchtower>> towers;
-  uint64_t towers_armed = 0;
   PartyId tower_operator;
+
+  // --- cross-window state (the service checkpoints all of it) ---
+  uint64_t towers_armed = 0;
+  uint64_t cbc_seen = 0;  // CBC deals so far, for cross-shard placement
+  std::vector<BrokerDealOutcome> outcomes;
+  /// Per-chain scan-start index: each window's seal scans only the
+  /// receipts it produced. Not serialized — a restored chain starts with
+  /// an empty receipt vector, so both paths scan the same window.
+  std::vector<size_t> receipt_cursor;
+};
+
+void TrafficCore::Build(bool any_cbc) {
+  World& world = env.world();
+  if (options.indexed_observation) {
+    // Must flip before any block is produced: delivery mode is part of the
+    // run's deterministic schedule (chain/world.h).
+    world.set_observation_delivery(ObservationDelivery::kIndexed);
+  }
+  for (size_t c = 0; c < num_chains; ++c) {
+    ChainId id = env.AddChain("pool-" + std::to_string(c));
+    world.chain(id)->set_max_txs_per_block(options.block_capacity);
+    pool.push_back(id);
+  }
+  // The broker subsystem: B shared broker identities with finite working
+  // capital and commodity inventory, deals round-robined over them. Inert
+  // when num_brokers == 0 (no parties, tokens, or RNG draws), which is what
+  // keeps zero-broker runs bit-identical to the legacy engine.
+  broker_pool = std::make_unique<BrokerPool>(&env, options.brokers, pool);
+  // The certified backend all CBC deals execute against: S shards, each a
+  // chain + validator set of its own, deals hashed to shards by deal id.
+  // With S = 1 this is exactly §6's single shared CBC — one contention
+  // point, as the paper envisions it.
+  if (any_cbc) {
+    cbc_service = std::make_unique<CbcService>(&world, CbcOptions());
+    MakeCbcDriver();
+  }
+  // Watchtower infrastructure: one operator identity for every tower.
   if (options.watchtower_every > 0) {
     tower_operator = env.AddParty("watchtower");
   }
+  receipt_cursor.assign(world.num_chains(), 0);
+  RegisterHandlers();
 
-  std::set<size_t> double_spend(options.double_spend_deals.begin(),
-                                options.double_spend_deals.end());
-  std::set<size_t> offline(options.offline_party_deals.begin(),
-                           options.offline_party_deals.end());
-  std::set<size_t> stale_proof(options.stale_proof_deals.begin(),
-                               options.stale_proof_deals.end());
+  // Validator rotations and broker crash/recovery are scheduled DURABLY,
+  // before any deal, so a service checkpoint carries them: a rotation or
+  // broker kill three epochs out re-fires at its original (time, seq)
+  // position in a restored run. At each reconfiguration tick every shard
+  // rotates its validator set; deals escrowed before the boundary still
+  // settle by chaining the new epochs' certificates. A broker crash kills
+  // broker (i % B); a recovery rebuilds her reservations from on-chain
+  // escrow evidence.
+  Scheduler& sched = world.scheduler();
+  if (cbc_service != nullptr) {
+    for (Tick t : options.cbc_reconfig_times) {
+      for (size_t s = 0; s < cbc_service->num_shards(); ++s) {
+        sched.ScheduleDurableAt(t, EventLabel{}, "cbc-reconfig", s);
+      }
+    }
+  }
+  if (broker_pool->enabled() && !options.broker_crash_times.empty()) {
+    const size_t num_brokers = broker_pool->num_brokers();
+    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
+      const uint64_t b = i % num_brokers;
+      sched.ScheduleDurableAt(options.broker_crash_times[i], EventLabel{},
+                              "broker-crash", b);
+      if (options.broker_recover_after > 0) {
+        sched.ScheduleDurableAt(
+            options.broker_crash_times[i] + options.broker_recover_after,
+            EventLabel{}, "broker-recover", b);
+      }
+    }
+  }
+}
 
-  // Arrival schedule: a pure function of (process, base_seed, mean gap) —
-  // computed up front so it is identical whether deals deploy eagerly or
-  // through admission events, and across any thread count.
-  std::vector<Tick> arrivals = BuildArrivalSchedule(
-      options.arrival, num_deals, options.base_seed,
-      options.arrival == ArrivalProcess::kFixedStagger
-          ? static_cast<double>(options.admission_gap)
-          : options.mean_interarrival);
+Status TrafficCore::Attach(const std::vector<uint32_t>* shard_epochs,
+                           const Bytes* broker_blob) {
+  World& world = env.world();
+  if ((shard_epochs != nullptr) != AnyCbcIn(mix.size())) {
+    return Status::InvalidArgument(
+        "snapshot rejected: CBC backend presence disagrees with options");
+  }
+  if (shard_epochs != nullptr) {
+    // Validator keys and reconfiguration certificates are pure functions of
+    // (seed, epoch): Attach replays Reconfigure() per shard until the
+    // recorded epoch, rebuilding bit-identical sets and history.
+    cbc_service = CbcService::Attach(&world, CbcOptions(), *shard_epochs);
+    if (cbc_service == nullptr) {
+      return Status::InvalidArgument(
+          "snapshot rejected: restored world is missing CBC shard chains");
+    }
+    MakeCbcDriver();
+  }
+  broker_pool = std::make_unique<BrokerPool>(&env, options.brokers,
+                                             BrokerPool::AttachTag{});
+  if ((broker_blob != nullptr) != broker_pool->enabled()) {
+    return Status::InvalidArgument(
+        "snapshot rejected: broker pool presence disagrees with options");
+  }
+  if (broker_blob != nullptr) {
+    ByteReader pool_reader(*broker_blob);
+    Status pool_ok = broker_pool->Restore(pool_reader);
+    if (!pool_ok.ok()) return pool_ok;
+  }
+  // Cursors start at the restored chains' receipt counts (empty: restored
+  // chains carry no receipt history), so the next seal scans exactly the
+  // receipts it produces — the same window the uninterrupted run scans.
+  receipt_cursor.assign(world.num_chains(), 0);
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
+  }
+  // Durable events were re-imported by World::Restore at their original
+  // (time, seq) positions; only their handlers need re-binding.
+  RegisterHandlers();
+  return Status::OK();
+}
 
-  std::vector<DealSlot> slots(num_deals);
+TrafficCore::Window TrafficCore::RunWindow(size_t first, size_t count,
+                                           Tick anchor) {
+  World& world = env.world();
+  Scheduler& sched = world.scheduler();
+  // Deal d arrives at anchor + arrivals[d] - arrivals[first]: the window's
+  // slice of the global schedule, placed so its first deal lands on
+  // `anchor`.
+  std::vector<Tick> arrivals = ArrivalsOf(options, first + count);
 
-  // Anchors slot d's schedule at `admit_time` and deploys it. On the legacy
-  // path this runs inline during generation (bit-compatible with the
-  // pre-admission engine); with the controller on it runs from an admission
-  // event mid-simulation.
-  auto deploy_deal = [&env, &slots, &options, &timelock_driver, &cbc_driver,
-                      &arena, &broker_pool](size_t d, Tick admit_time) {
-    DealSlot& slot = slots[d];
+  // Every runtime and checker of the window lives here — one bump
+  // allocation each instead of 2D heap round-trips at D = 10^5. Every deal
+  // settles before the seal and the broker pool prunes every escrow-view
+  // pointer at its end, so nothing dangles into the next window.
+  Arena arena;
+  std::vector<DealSlot> slots(count);
+
+  // Anchors slot i's schedule at `admit_time` and deploys it. Without the
+  // admission controller this runs inline during generation (bit-compatible
+  // with the pre-admission engine); with it, from an admission event.
+  auto deploy_deal = [this, &world, &slots, &arena, first](size_t i,
+                                                           Tick admit_time) {
+    DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
     rec.admitted_at = admit_time;
 
@@ -459,27 +737,29 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
     DealTimings timings = DealTimings::DefaultsFor(rec.protocol);
     timings.ShiftBy(admit_time);
     timings.delta = options.delta;
-    timings.deal_tag = static_cast<uint64_t>(d) + 1;
+    // Deal tags are GLOBAL (index + 1) so gas attribution and indexed
+    // observation stay collision-free across every window of the run.
+    timings.deal_tag = static_cast<uint64_t>(first + i) + 1;
 
     ProtocolDriver& driver = rec.protocol == Protocol::kCbc
                                  ? static_cast<ProtocolDriver&>(*cbc_driver)
                                  : timelock_driver;
-    slot.runtime = driver.CreateDealIn(&arena, &env.world(), slot.spec,
-                                       timings, &slot.factory);
+    slot.runtime = driver.CreateDealIn(&arena, &world, slot.spec, timings,
+                                       &slot.factory);
     Status started = slot.runtime->Deploy();
     if (!started.ok()) {
       rec.violation = "start-failed: " + started.ToString();
       return;
     }
     slot.checker = arena.Create<DealChecker>(
-        &env.world(), slot.spec, slot.runtime->escrow_contracts(),
+        &world, slot.spec, slot.runtime->escrow_contracts(),
         timings.deal_tag);
     if (rec.broker != 0) {
       // The brokers' balances move with every concurrent deal they are in;
       // their per-deal token expectations are undefined. Solvency is
       // asserted across the whole deal set by the portfolio check — every
       // hop of a chain deal is such a shared party.
-      for (PartyId p : broker_pool.SharedPartiesOf(d)) {
+      for (PartyId p : broker_pool->SharedPartiesOf(first + i)) {
         slot.checker->MarkSharedParty(p);
       }
     }
@@ -490,8 +770,7 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   // Resolves where a CBC deal's assets landed (CbcService::PlaceAssets) and
   // records whether they span shards — the same resolution the deal's own
   // CbcRun performs at deploy time.
-  auto note_placement = [&slots, &cbc_service](size_t d) {
-    DealSlot& slot = slots[d];
+  auto note_placement = [this](DealSlot& slot) {
     if (slot.rec.protocol != Protocol::kCbc || cbc_service == nullptr ||
         slot.spec.assets.empty()) {
       return;
@@ -510,43 +789,47 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   // (margins priced from live occupancy); without the controller there is
   // no admission event, so generation stays eager.
   const bool defer_broker =
-      broker_pool.DynamicPricing() && options.admission.enabled;
+      broker_pool->DynamicPricing() && options.admission.enabled;
 
   // --- generation: sequential by construction (mutates the World), every
-  //     deal's randomness from its own derived seed ---
-  size_t cbc_seen = 0;  // CBC deals so far, for cross-shard placement
-  for (size_t d = 0; d < num_deals; ++d) {
-    DealSlot& slot = slots[d];
+  //     deal's randomness from its own derived seed, indexed globally so
+  //     seeds, protocol mix, injections, and broker round-robin continue
+  //     the stream every earlier window drew from ---
+  for (size_t i = 0; i < count; ++i) {
+    const size_t d = first + i;
+    DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
     rec.index = d;
     rec.seed = TrafficDealSeed(options.base_seed, d);
     rec.protocol = mix[d % mix.size()];
-    rec.arrival_at = arrivals[d];
-    rec.admitted_at = arrivals[d];
+    rec.arrival_at = anchor + (arrivals[d] - arrivals[first]);
+    rec.admitted_at = rec.arrival_at;
     Rng rng(rec.seed);
 
-    const bool inject =
-        double_spend.count(d) > 0 && d > 0 && double_spend.count(d - 1) == 0;
+    // Double-spend hosts must live in the same window (the injected swap
+    // re-promises the host's tokens; the host's slot must still be open).
+    const bool inject = double_spend.count(d) > 0 && i > 0 &&
+                        double_spend.count(d - 1) == 0;
     if (inject) {
-      slot.spec = BuildDoubleSpendSpec(&env, slots[d - 1], d, rec.seed,
+      slot.spec = BuildDoubleSpendSpec(&env, slots[i - 1], d, rec.seed,
                                        num_chains, &rng);
       PartyId adversary = slot.spec.parties[0];
       slot.has_adversary = true;
       slot.adversary = adversary;
       rec.tainted = true;
-      slots[d - 1].has_adversary = true;
-      slots[d - 1].adversary = adversary;
-      slots[d - 1].rec.tainted = true;
-    } else if (broker_pool.IsBrokerDeal(d)) {
+      slots[i - 1].has_adversary = true;
+      slots[i - 1].adversary = adversary;
+      slots[i - 1].rec.tainted = true;
+    } else if (broker_pool->IsBrokerDeal(d)) {
       // Figure-1 shape: this deal's middle party is a shared broker (or a
       // chain of them) whose capital/inventory the deal locks in flight.
-      rec.broker = broker_pool.BrokerOf(d) + 1;
+      rec.broker = broker_pool->BrokerOf(d) + 1;
       if (defer_broker) {
         slot.deferred_broker = true;  // spec built at first admission
       } else {
-        slot.spec = broker_pool.MakeDeal(d, rec.seed);
-        rec.broker_capital_need = broker_pool.CapitalNeed(d);
-        rec.broker_inventory_need = broker_pool.InventoryNeed(d);
+        slot.spec = broker_pool->MakeDeal(d, rec.seed);
+        rec.broker_capital_need = broker_pool->CapitalNeed(d);
+        rec.broker_inventory_need = broker_pool->InventoryNeed(d);
       }
     } else {
       GenParams gen;
@@ -587,7 +870,7 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       slot.spec = GenerateRandomDeal(&env, gen);
     }
     if (rec.protocol == Protocol::kCbc) ++cbc_seen;
-    note_placement(d);
+    note_placement(slot);
     rec.parties = slot.spec.NumParties();
     rec.assets = slot.spec.NumAssets();
     rec.transfers = slot.spec.NumTransfers();
@@ -623,7 +906,7 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
         d % options.watchtower_every == 0 &&
         rec.protocol == Protocol::kTimelock) {
       factory.arm_tower = true;
-      factory.world = &env.world();
+      factory.world = &world;
       factory.tower_operator = tower_operator;
       factory.towers = &towers;
       factory.tower_crash_every = options.tower_crash_every;
@@ -632,15 +915,15 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       factory.towers_armed = &towers_armed;
     }
     if (rec.broker != 0) {
-      factory.broker_pool = &broker_pool;
+      factory.broker_pool = broker_pool.get();
       factory.deal_index = d;
     }
 
-    // Legacy path: no controller, deploy up front at the arrival time —
-    // the exact call sequence of the pre-admission engine, so fingerprints
-    // are preserved bit-for-bit.
+    // Without the controller every deal deploys up front at its arrival
+    // time — the exact call sequence of the pre-admission engine, so
+    // fingerprints are preserved bit-for-bit.
     if (!options.admission.enabled) {
-      deploy_deal(d, rec.admitted_at);
+      deploy_deal(i, rec.admitted_at);
     }
   }
 
@@ -648,13 +931,16 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   //     onto the scheduler. Each deal's arrival consults the controller
   //     against live backlog/occupancy; over-threshold deals retry after a
   //     delay quantum and are shed once out of retries. Events are created
-  //     in index order, so equal-time arrivals stay deterministic. ---
-  AdmissionController controller(options.admission, &env.world());
-  if (broker_pool.enabled() && broker_pool.ChainDepth() > 1) {
+  //     in index order, so equal-time arrivals stay deterministic. The
+  //     controller lives for the window only, and every admission event is
+  //     non-durable and fires inside it, so no controller state crosses a
+  //     service checkpoint. ---
+  AdmissionController controller(options.admission, &world);
+  if (broker_pool->enabled() && broker_pool->ChainDepth() > 1) {
     // Chain deals register the hop-capital extension signal instead of the
     // single-broker built-in: one short hop blocks the whole chain.
     controller.RegisterSignal(std::make_unique<HopCapitalSignal>(
-        &broker_pool, options.admission.broker_gate));
+        broker_pool.get(), options.admission.broker_gate));
   }
   std::function<void(size_t)> admission_event;
   // Arrival and retry events the engine itself has scheduled but that have
@@ -665,112 +951,84 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   if (options.admission.enabled) {
     const Tick retry_delay =
         options.admission.retry_delay > 0 ? options.admission.retry_delay : 1;
-    admission_event = [&env, &slots, &controller, &admission_event,
-                       &deploy_deal, &own_admission_events, &broker_pool,
-                       &note_placement, retry_delay](size_t d) {
+    admission_event = [this, &world, &slots, &controller, &admission_event,
+                       &deploy_deal, &own_admission_events, &note_placement,
+                       first, retry_delay](size_t i) {
       --own_admission_events;  // this event just fired
-      DealSlot& slot = slots[d];
+      const size_t d = first + i;
+      DealSlot& slot = slots[i];
       TrafficDealRecord& rec = slot.rec;
       // Dynamic pricing: the deferred broker spec is built at the deal's
       // FIRST admission attempt, so each hop's margin is priced from live
       // capital occupancy; retries keep the first-arrival price.
       if (slot.deferred_broker && slot.spec.parties.empty()) {
-        slot.spec = broker_pool.MakeDeal(d, rec.seed);
-        rec.broker_capital_need = broker_pool.CapitalNeed(d);
-        rec.broker_inventory_need = broker_pool.InventoryNeed(d);
+        slot.spec = broker_pool->MakeDeal(d, rec.seed);
+        rec.broker_capital_need = broker_pool->CapitalNeed(d);
+        rec.broker_inventory_need = broker_pool->InventoryNeed(d);
         rec.parties = slot.spec.NumParties();
         rec.assets = slot.spec.NumAssets();
         rec.transfers = slot.spec.NumTransfers();
-        note_placement(d);
+        note_placement(slot);
       }
       // Broker deals carry the capital signal: single-hop deals pass this
       // broker's live free capital/inventory to the broker built-in; chain
       // deals are covered by the registered hop-capital signal instead.
-      const bool chain_deal = rec.broker != 0 && broker_pool.ChainDepth() > 1;
+      const bool chain_deal = rec.broker != 0 && broker_pool->ChainDepth() > 1;
       BrokerSignal broker_signal;
       const bool has_broker_signal = rec.broker != 0 && !chain_deal;
-      if (has_broker_signal) broker_signal = broker_pool.SignalFor(d);
+      if (has_broker_signal) broker_signal = broker_pool->SignalFor(d);
       AdmissionDecision decision =
           controller.Decide(rec.admission_retries, own_admission_events,
                             has_broker_signal ? &broker_signal : nullptr, d);
       if (decision == AdmissionDecision::kDelay) {
         ++rec.admission_retries;
         ++own_admission_events;
-        env.world().scheduler().ScheduleAfter(
-            retry_delay, [&admission_event, d] { admission_event(d); });
+        world.scheduler().ScheduleAfter(
+            retry_delay, [&admission_event, i] { admission_event(i); });
         return;
       }
-      Tick now = env.world().now();
+      Tick now = world.now();
+      // The wait the deal's retries cost, whether admitted or shed.
+      rec.admission_wait = now - rec.arrival_at;
       if (decision == AdmissionDecision::kShed) {
         rec.shed = true;
-        // The wait this deal's retries cost before the policy gave up.
-        rec.admission_wait = now - rec.arrival_at;
         return;
       }
-      rec.admission_wait = now - rec.arrival_at;
-      deploy_deal(d, now);
+      deploy_deal(i, now);
     };
-    for (size_t d = 0; d < num_deals; ++d) {
-      if (slots[d].rec.protocol == Protocol::kHtlc) continue;  // no driver
+    for (size_t i = 0; i < count; ++i) {
+      if (slots[i].rec.protocol == Protocol::kHtlc) continue;  // no driver
       ++own_admission_events;
-      env.world().scheduler().ScheduleAt(
-          arrivals[d], [&admission_event, d] { admission_event(d); });
-    }
-  }
-
-  // --- mid-run validator reconfiguration: at each listed tick every shard
-  //     rotates its validator set (epoch + 1). Deals escrowed before the
-  //     boundary still settle: their decide proofs chain the new epochs'
-  //     certificates through the service's reconfiguration history. ---
-  if (cbc_service != nullptr) {
-    CbcService* service = cbc_service.get();
-    for (Tick t : options.cbc_reconfig_times) {
-      env.world().scheduler().ScheduleAt(t, [service] {
-        for (size_t s = 0; s < service->num_shards(); ++s) {
-          service->Reconfigure(s);
-        }
-      });
-    }
-  }
-
-  // --- crash injection: listed ticks kill a broker (round-robin over the
-  //     pool); a recovery delay, when set, brings it back after rebuilding
-  //     its reservations from on-chain escrow evidence. ---
-  if (broker_pool.enabled() && !options.broker_crash_times.empty()) {
-    const size_t num_brokers = broker_pool.num_brokers();
-    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
-      const size_t b = i % num_brokers;
-      env.world().scheduler().ScheduleAt(
-          options.broker_crash_times[i],
-          [&broker_pool, b] { broker_pool.CrashBroker(b); });
-      if (options.broker_recover_after > 0) {
-        env.world().scheduler().ScheduleAt(
-            options.broker_crash_times[i] + options.broker_recover_after,
-            [&broker_pool, b] { broker_pool.RecoverBroker(b); });
-      }
+      sched.ScheduleAt(slots[i].rec.arrival_at,
+                       [&admission_event, i] { admission_event(i); });
     }
   }
 
   // --- drive: one deterministic scheduler interleaves every deal's phases.
-  //     The fairness hook tracks when the backlog peaks. ---
-  Tick peak_backlog_at = 0;
-  size_t peak_backlog = 0;
-  env.world().scheduler().SetStepObserver(
-      [&peak_backlog, &peak_backlog_at](Tick now, size_t pending) {
-        if (pending > peak_backlog) {
-          peak_backlog = pending;
-          peak_backlog_at = now;
-        }
-      });
-  env.world().scheduler().Run();
-  env.world().scheduler().SetStepObserver(nullptr);
+  //     Batch drains the queue to empty; the service stops at the quiescent
+  //     boundary where only future durable events remain. Durable events
+  //     due inside the window fire in time order like any other. The step
+  //     hook tracks when the backlog peaks. ---
+  Window w;
+  sched.SetStepObserver([&w](Tick now, size_t pending) {
+    if (pending > w.peak_backlog) {
+      w.peak_backlog = pending;
+      w.peak_backlog_at = now;
+    }
+  });
+  while (sched.pending() > (drain_to_empty ? 0 : sched.pending_durable())) {
+    sched.Step();
+  }
+  sched.SetStepObserver(nullptr);
+  w.sealed_at = world.now();
+  receipt_cursor.resize(world.num_chains(), 0);
 
   // --- differential oracle: the incrementally built receipt indexes must
   //     agree with a from-scratch full scan on every chain ---
   std::vector<uint32_t> index_mismatch_chains;
   if (options.fullscan_oracle) {
-    for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-      if (!env.world().chain(ChainId{c})->TagIndexMatchesFullScan()) {
+    for (uint32_t c = 0; c < world.num_chains(); ++c) {
+      if (!world.chain(ChainId{c})->TagIndexMatchesFullScan()) {
         index_mismatch_chains.push_back(c);
       }
     }
@@ -779,34 +1037,35 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   // --- broker over-commitment: identified from on-chain evidence (bounced
   //     broker escrow pulls) and tainted before validation, so the bounced
   //     deal's clean abort is judged as the defense it is ---
-  if (broker_pool.enabled()) {
-    TaintBouncedBrokerEscrows(env.world(), &slots, broker_pool);
+  if (broker_pool->enabled()) {
+    TaintBouncedBrokerEscrows(world, &slots, *broker_pool, receipt_cursor);
   }
 
   // --- cross-shard replay evidence: decide submissions rejected on the
   //     escrow's shard-binding check. The rejections are counted and the
   //     replaying party's deal tainted from the receipts alone, so any
   //     replay of the same seed taints the same deals — injected or not. ---
-  size_t stale_decide_rejections = 0;
   if (cbc_service != nullptr) {
-    // (chain, escrow contract) -> deal index, CBC deals only.
+    // (chain, escrow contract) -> slot index, CBC deals only.
     std::map<std::pair<uint32_t, uint32_t>, size_t> site;
-    for (size_t d = 0; d < slots.size(); ++d) {
-      const DealSlot& slot = slots[d];
+    for (size_t i = 0; i < count; ++i) {
+      const DealSlot& slot = slots[i];
       if (!slot.rec.started || slot.rec.protocol != Protocol::kCbc) continue;
       const std::vector<ContractId>& escrows =
           slot.runtime->escrow_contracts();
       for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-        site[{slot.spec.assets[a].chain.v, escrows[a].v}] = d;
+        site[{slot.spec.assets[a].chain.v, escrows[a].v}] = i;
       }
     }
-    for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-      for (const Receipt& r : env.world().chain(ChainId{c})->receipts()) {
+    for (uint32_t c = 0; c < world.num_chains(); ++c) {
+      const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
+      for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
+        const Receipt& r = all[ri];
         if (r.tag != "decide" || r.status.ok()) continue;
         if (r.status.ToString().find("shard mismatch") == std::string::npos) {
           continue;
         }
-        ++stale_decide_rejections;
+        ++w.stale_decide_rejections;
         auto it = site.find({r.chain.v, r.contract.v});
         if (it == site.end()) continue;
         DealSlot& slot = slots[it->second];
@@ -817,63 +1076,104 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
     }
   }
 
-  // --- per-deal gas/receipt attribution: one sequential pass. Gas that
-  //     reaches no deal's tag is leakage in the accounting and is reported
-  //     (a conformant engine keeps it at zero). ---
-  std::vector<uint64_t> gas_by_deal(num_deals + 1, 0);
-  std::vector<uint64_t> messages_by_deal(num_deals + 1, 0);
-  uint64_t untagged_gas = 0;
-  for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-    for (const Receipt& r : env.world().chain(ChainId{c})->receipts()) {
-      if (r.deal_tag == 0 || r.deal_tag > num_deals) {
-        untagged_gas += r.gas_used;
+  // --- per-deal gas/receipt attribution: one sequential pass over the
+  //     window's receipts. Gas whose tag is outside the window's global
+  //     range is leakage in the accounting and is reported (a conformant
+  //     engine keeps it at zero: every earlier deal settled before its
+  //     window sealed). ---
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
+    for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
+      const Receipt& r = all[ri];
+      if (r.deal_tag <= first || r.deal_tag > first + count) {
+        w.untagged_gas += r.gas_used;
         continue;
       }
-      gas_by_deal[r.deal_tag] += r.gas_used;
-      ++messages_by_deal[r.deal_tag];
+      TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
+      rec.gas += r.gas_used;
+      ++rec.messages;
     }
-  }
-  for (size_t d = 0; d < num_deals; ++d) {
-    slots[d].rec.gas = gas_by_deal[d + 1];
-    slots[d].rec.messages = messages_by_deal[d + 1];
   }
 
   // --- validate: independent per deal, read-only on the World; workers
   //     write into their own slots, so any thread count folds identically ---
-  WorkerPool pool_workers(options.num_threads);
-  pool_workers.ParallelFor(num_deals,
-                           [&slots](size_t d) { ValidateDeal(&slots[d]); });
+  WorkerPool workers(options.num_threads);
+  workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
 
-  // --- aggregate: sequential, index-ordered ---
+  w.double_spends = DetectDoubleSpends(world, slots, receipt_cursor);
+  for (DealSlot& slot : slots) {
+    TrafficDealRecord& rec = slot.rec;
+    if (!rec.violation.empty()) {
+      w.violations.push_back(
+          TrafficViolation{rec.index, rec.seed, rec.protocol, rec.violation});
+    }
+    if (rec.broker != 0) {
+      rec.price_points = broker_pool->PricePointsOf(rec.index);
+      outcomes.push_back(OutcomeOf(rec));
+    }
+  }
+  for (uint32_t c : index_mismatch_chains) {
+    w.violations.push_back(TrafficViolation{
+        0, options.base_seed, Protocol::kTimelock,
+        "receipt-index-mismatch: chain " + std::to_string(c) +
+            " tag index disagrees with full scan"});
+  }
+  w.admission = controller.stats();
+
+  // --- boundary hygiene: every reservation's deposit has landed or settled
+  //     by quiescence, so the pool drops its runtime pointers before the
+  //     arena (and the window's runtimes) die; cursors advance so the next
+  //     seal scans only its own window. ---
+  broker_pool->PruneAll();
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
+  }
+  w.deals.reserve(count);
+  for (DealSlot& slot : slots) w.deals.push_back(std::move(slot.rec));
+  return w;
+}
+
+}  // namespace
+
+uint64_t TrafficDealSeed(uint64_t base_seed, uint64_t deal_index) {
+  SplitMix64 base(base_seed ^ 0x7261666669636BULL);  // "traffick" stream
+  SplitMix64 mixed(base.Next() ^
+                   (deal_index * 0xD1B54A32D192ED03ULL +
+                    0x9E3779B97F4A7C15ULL));
+  uint64_t seed = mixed.Next();
+  return seed == 0 ? 1 : seed;
+}
+
+TrafficReport RunTraffic(const TrafficOptions& options) {
+  const size_t num_deals = options.num_deals;
+  TrafficCore core(options, /*drain=*/true);
+  core.Build(core.AnyCbcIn(num_deals));
+  // One window of every deal, on the absolute arrival schedule: deal 0
+  // lands on its own arrival tick.
+  TrafficCore::Window w =
+      core.RunWindow(0, num_deals, ArrivalsOf(options, 1)[0]);
+
   TrafficReport report;
   report.num_deals = num_deals;
   report.cbc_shards = std::max<size_t>(1, options.cbc_shards);
-  report.untagged_gas = untagged_gas;
-  report.events_executed = env.world().scheduler().stats().executed;
+  report.untagged_gas = w.untagged_gas;
+  report.events_executed = core.env.world().scheduler().stats().executed;
   // Both backlog fields come from the same step-hook measurement so the
   // (depth, tick) pair is coherent; the scheduler's own max_pending counter
   // additionally counts the pre-run admission burst.
-  report.max_backlog = peak_backlog;
-  report.peak_backlog_at = peak_backlog_at;
+  report.max_backlog = w.peak_backlog;
+  report.peak_backlog_at = w.peak_backlog_at;
 
   // The legacy fold is kept byte-identical in legacy mode; open-loop /
   // admission-controlled runs additionally fold every deal's admission fate
   // so a changed schedule or policy can never alias an old fingerprint.
   const bool open_loop_fp = options.arrival != ArrivalProcess::kFixedStagger ||
                             options.admission.enabled;
-  const bool broker_fp = broker_pool.enabled();
-  // Hop chains / priced margins and cross-shard placement each fold their
-  // own per-deal facts, gated on their knobs so legacy configs keep their
-  // exact historical fingerprints.
-  const bool hopchain_fp =
-      broker_pool.enabled() &&
-      (broker_pool.ChainDepth() > 1 || broker_pool.DynamicPricing());
-  const bool xshard_fp = options.cbc_xshard_every > 0;
+  const FoldShape shape = core.Shape(open_loop_fp, open_loop_fp);
   std::vector<Tick> latencies;
   std::vector<uint64_t> gas_values;
-  uint64_t fp = 0x452821E638D01377ULL;
-  for (size_t d = 0; d < num_deals; ++d) {
-    TrafficDealRecord& rec = slots[d].rec;
+  uint64_t fp = kFpInit;
+  for (const TrafficDealRecord& rec : w.deals) {
     if (rec.protocol == Protocol::kTimelock) {
       ++report.timelock_deals;
     } else {
@@ -884,6 +1184,8 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
     if (rec.mixed) ++report.mixed;
     if (rec.shed) ++report.shed;
     if (rec.admitted_at > rec.arrival_at) ++report.delayed_deals;
+    if (rec.broker != 0) ++report.broker_deals;
+    if (rec.cross_shard) ++report.cross_shard_deals;
     report.admission_retries += rec.admission_retries;
     report.max_admission_wait =
         std::max(report.max_admission_wait, rec.admission_wait);
@@ -894,57 +1196,7 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       latencies.push_back(rec.latency);
     }
     gas_values.push_back(rec.gas);
-    if (!rec.violation.empty()) {
-      report.violations.push_back(
-          TrafficViolation{d, rec.seed, rec.protocol, rec.violation});
-    }
-
-    fp = MixFingerprint(fp, rec.index);
-    fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
-                                static_cast<uint64_t>(rec.committed) << 1 |
-                                static_cast<uint64_t>(rec.aborted) << 2 |
-                                static_cast<uint64_t>(rec.mixed) << 3 |
-                                static_cast<uint64_t>(rec.all_settled) << 4 |
-                                static_cast<uint64_t>(rec.atomic) << 5 |
-                                static_cast<uint64_t>(rec.safety_ok) << 6 |
-                                static_cast<uint64_t>(rec.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(rec.strong_liveness_ok)
-                                    << 8 |
-                                static_cast<uint64_t>(rec.tainted) << 9);
-    fp = MixFingerprint(fp, rec.gas);
-    fp = MixFingerprint(fp, rec.messages);
-    fp = MixFingerprint(fp, rec.settle_time);
-    fp = MixFingerprint(fp, FingerprintString(rec.violation));
-    if (open_loop_fp) {
-      fp = MixFingerprint(fp, rec.arrival_at);
-      fp = MixFingerprint(fp, rec.admitted_at);
-      fp = MixFingerprint(fp, static_cast<uint64_t>(rec.shed) |
-                                  static_cast<uint64_t>(rec.admission_retries)
-                                      << 1);
-      fp = MixFingerprint(fp, rec.admission_wait);
-    }
-    if (broker_fp) {
-      if (rec.broker != 0) ++report.broker_deals;
-      fp = MixFingerprint(fp, rec.broker);
-      fp = MixFingerprint(fp, rec.broker_capital_need);
-      fp = MixFingerprint(fp, rec.broker_inventory_need);
-    }
-    if (rec.broker != 0) {
-      rec.price_points = broker_pool.PricePointsOf(d);
-    }
-    if (rec.cross_shard) ++report.cross_shard_deals;
-    if (hopchain_fp) {
-      fp = MixFingerprint(fp, rec.price_points.size());
-      for (const BrokerPool::PricePoint& pt : rec.price_points) {
-        fp = MixFingerprint(fp, pt.occupancy);
-        fp = MixFingerprint(fp, pt.margin);
-      }
-    }
-    if (xshard_fp) {
-      fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
-    }
+    fp = FoldDeal(fp, rec, shape);
   }
 
   report.latency_p50 = Percentile(latencies, 50);
@@ -958,86 +1210,40 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
         static_cast<double>(report.makespan);
   }
   // Offered load: (D-1) inter-arrival gaps over the arrival window.
-  if (num_deals > 1 && arrivals.back() > arrivals.front()) {
+  if (num_deals > 1 &&
+      w.deals.back().arrival_at > w.deals.front().arrival_at) {
     report.offered_per_ktick =
         1000.0 * static_cast<double>(num_deals - 1) /
-        static_cast<double>(arrivals.back() - arrivals.front());
+        static_cast<double>(w.deals.back().arrival_at -
+                            w.deals.front().arrival_at);
   }
   if (options.admission.enabled) {
-    report.peak_backlog_seen = controller.stats().peak_backlog_seen;
-    report.peak_occupancy_seen = controller.stats().peak_occupancy_seen;
+    report.peak_backlog_seen = w.admission.peak_backlog_seen;
+    report.peak_occupancy_seen = w.admission.peak_occupancy_seen;
   }
+  report.violations = std::move(w.violations);
 
-  for (uint32_t c : index_mismatch_chains) {
-    report.violations.push_back(TrafficViolation{
-        0, options.base_seed, Protocol::kTimelock,
-        "receipt-index-mismatch: chain " + std::to_string(c) +
-            " tag index disagrees with full scan"});
-  }
-
-  report.stale_decide_rejections = stale_decide_rejections;
+  report.stale_decide_rejections = w.stale_decide_rejections;
   if (!options.stale_proof_deals.empty()) {
-    fp = MixFingerprint(fp, stale_decide_rejections);
+    fp = MixFingerprint(fp, w.stale_decide_rejections);
   }
   report.broker_hop_depth =
-      broker_pool.enabled() ? broker_pool.ChainDepth() : 1;
+      core.broker_pool->enabled() ? core.broker_pool->ChainDepth() : 1;
 
-  fp = MixFingerprint(fp, untagged_gas);
-  report.double_spends = DetectDoubleSpends(env.world(), slots);
-  for (const DoubleSpendIncident& incident : report.double_spends) {
-    fp = MixFingerprint(fp, incident.loser_deal);
-    fp = MixFingerprint(fp, incident.winner_deal);
-    fp = MixFingerprint(fp, incident.party);
-  }
+  fp = MixFingerprint(fp, w.untagged_gas);
+  report.double_spends = std::move(w.double_spends);
+  fp = FoldIncidents(fp, report.double_spends);
 
   // --- per-broker aggregation: gas/latency attribution, occupancy
-  //     timelines, and the portfolio conformance check, folded into the
-  //     fingerprint so a changed broker fate can never alias a report ---
-  if (broker_pool.enabled()) {
-    std::vector<BrokerDealOutcome> outcomes;
-    outcomes.reserve(report.broker_deals);
-    for (size_t d = 0; d < num_deals; ++d) {
-      const TrafficDealRecord& rec = slots[d].rec;
-      if (rec.broker == 0) continue;
-      BrokerDealOutcome outcome;
-      outcome.deal_index = d;
-      outcome.arrival_at = rec.arrival_at;
-      outcome.admitted_at = rec.admitted_at;
-      outcome.settle_time = rec.settle_time;
-      outcome.latency = rec.latency;
-      outcome.started = rec.started;
-      outcome.committed = rec.committed;
-      outcome.aborted = rec.aborted;
-      outcome.shed = rec.shed;
-      outcome.all_settled = rec.all_settled;
-      outcome.gas = rec.gas;
-      outcomes.push_back(outcome);
-    }
-    report.brokers = broker_pool.BuildRecords(outcomes);
-    report.broker_blocked = controller.stats().broker_blocked;
-    for (const BrokerRecord& broker : report.brokers) {
-      if (!broker.portfolio_ok) ++report.broker_portfolio_violations;
-      fp = MixFingerprint(fp, broker.index);
-      fp = MixFingerprint(fp, broker.party);
-      fp = MixFingerprint(fp, broker.deals);
-      fp = MixFingerprint(fp, broker.committed);
-      fp = MixFingerprint(fp, broker.aborted);
-      fp = MixFingerprint(fp, broker.shed);
-      fp = MixFingerprint(fp, broker.delayed);
-      fp = MixFingerprint(fp, broker.gas);
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.coin_delta));
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.inventory_delta));
-      fp = MixFingerprint(fp, broker.peak_capital_in_use);
-      fp = MixFingerprint(fp, broker.peak_inventory_in_use);
-      fp = MixFingerprint(fp, broker.portfolio_ok ? 1 : 0);
-    }
+  //     timelines, and the portfolio conformance check ---
+  if (core.broker_pool->enabled()) {
+    report.brokers = core.broker_pool->BuildRecords(core.outcomes);
+    report.broker_blocked = w.admission.broker_blocked;
+    fp = FoldBrokerRecords(fp, report.brokers,
+                           &report.broker_portfolio_violations);
   }
   report.fingerprint = fp;
-
-  report.deals.reserve(num_deals);
-  for (DealSlot& slot : slots) {
-    report.deals.push_back(std::move(slot.rec));
-  }
+  report.deals = std::move(w.deals);
   return report;
 }
 
@@ -1149,16 +1355,11 @@ std::string TrafficReport::Summary() const {
 }
 
 // ===========================================================================
-// TrafficService: the engine as a long-lived process with epochs,
+// TrafficService: the engine as a long-lived service with epochs,
 // checkpoint/restore, and crash-recovery.
 // ===========================================================================
 
 namespace {
-
-/// The fold every fingerprint in the engine starts from (RunTraffic uses the
-/// same constant; service-mode fingerprints are a separate domain because
-/// the epoch header is folded before any deal).
-constexpr uint64_t kFpInit = 0x452821E638D01377ULL;
 
 /// Snapshot envelope framing.
 constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
@@ -1175,11 +1376,6 @@ Status ValidateServiceOptions(const TrafficOptions& options) {
         "draws sequential RNG for observers of settled deals that do not "
         "exist after a restore, so broadcast runs cannot resume "
         "bit-identically");
-  }
-  if (options.admission.enabled) {
-    return Status::InvalidArgument(
-        "service mode does not support the admission controller "
-        "(controller state is not checkpointable)");
   }
   return Status::OK();
 }
@@ -1208,6 +1404,11 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(static_cast<uint64_t>(o.arrival));
   mix(static_cast<uint64_t>(o.mean_interarrival * 1024.0));
   mix(o.admission.enabled ? 1 : 0);
+  mix(o.admission.max_scheduler_backlog);
+  mix(o.admission.max_chain_occupancy);
+  mix(o.admission.retry_delay);
+  mix(o.admission.max_retries);
+  mix(o.admission.broker_gate ? 1 : 0);
   mix(o.min_parties);
   mix(o.max_parties);
   mix(o.min_assets);
@@ -1246,30 +1447,11 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
 }  // namespace
 
 struct TrafficService::Impl {
-  TrafficOptions options;
-  size_t num_chains = 1;
-  std::vector<Protocol> mix;
-  bool any_cbc = false;
-  std::set<size_t> double_spend;
-  std::set<size_t> offline;
-  std::set<size_t> stale_proof;
+  std::unique_ptr<TrafficCore> core;
 
-  std::unique_ptr<DealEnv> env;
-  std::vector<ChainId> pool;
-  std::unique_ptr<BrokerPool> broker_pool;
-  std::unique_ptr<CbcService> cbc_service;
-  TimelockDriver timelock_driver;
-  std::unique_ptr<CbcDriver> cbc_driver;
-  /// Towers armed this session; old towers stay subscribed but are inert
-  /// (their tags never recur under indexed delivery).
-  std::vector<std::unique_ptr<Watchtower>> towers;
-  PartyId tower_operator;
-
-  // --- cross-epoch state (everything here lands in the checkpoint) ---
+  // --- cross-epoch totals (everything here lands in the checkpoint) ---
   size_t next_deal = 0;
   size_t epochs_run = 0;
-  uint64_t towers_armed = 0;
-  uint64_t cbc_seen = 0;
   uint64_t cumulative_fp = kFpInit;
   size_t total_committed = 0;
   size_t total_aborted = 0;
@@ -1285,63 +1467,6 @@ struct TrafficService::Impl {
   Tick makespan = 0;
   std::vector<EpochReport> reports;
   std::vector<TrafficViolation> violations;
-  std::vector<BrokerDealOutcome> outcomes;
-
-  /// Per-chain scan-start index: the epoch seal scans only receipts this
-  /// epoch produced. NOT serialized — a restored chain starts with an empty
-  /// receipt vector, so both paths scan exactly the new epoch's receipts.
-  std::vector<size_t> receipt_cursor;
-
-  void RegisterHandlers() {
-    Scheduler& sched = env->world().scheduler();
-    Impl* self = this;
-    sched.RegisterDurableHandler("cbc-reconfig", [self](uint64_t shard) {
-      if (self->cbc_service != nullptr) {
-        self->cbc_service->Reconfigure(static_cast<size_t>(shard));
-      }
-    });
-    sched.RegisterDurableHandler("broker-crash", [self](uint64_t b) {
-      self->broker_pool->CrashBroker(static_cast<size_t>(b));
-    });
-    sched.RegisterDurableHandler("broker-recover", [self](uint64_t b) {
-      self->broker_pool->RecoverBroker(static_cast<size_t>(b));
-    });
-  }
-
-  /// Shared construction tail of Create and FromSnapshot: the pieces that
-  /// are pure functions of the options.
-  void InitDerived() {
-    num_chains = std::max<size_t>(1, options.num_chains);
-    mix = options.protocol_mix.empty()
-              ? std::vector<Protocol>{Protocol::kTimelock}
-              : options.protocol_mix;
-    for (Protocol p : mix) any_cbc = any_cbc || p == Protocol::kCbc;
-    double_spend = std::set<size_t>(options.double_spend_deals.begin(),
-                                    options.double_spend_deals.end());
-    offline = std::set<size_t>(options.offline_party_deals.begin(),
-                               options.offline_party_deals.end());
-    stale_proof = std::set<size_t>(options.stale_proof_deals.begin(),
-                                   options.stale_proof_deals.end());
-  }
-
-  CbcService::Options CbcOptions() const {
-    CbcService::Options service_options;
-    service_options.num_shards = std::max<size_t>(1, options.cbc_shards);
-    service_options.f = 1;
-    service_options.chain_name = "cbc";
-    service_options.validator_seed =
-        "traffic-" + std::to_string(options.base_seed);
-    service_options.block_interval = options.block_interval;
-    service_options.block_capacity = options.block_capacity;
-    return service_options;
-  }
-
-  void MakeCbcDriver() {
-    CbcDriver::Options cbc_options;
-    cbc_options.abort_patience =
-        std::max(cbc_options.abort_patience, options.delta);
-    cbc_driver = std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
-  }
 
   EpochReport RunEpoch();
   Result<Bytes> DoCheckpoint();
@@ -1357,331 +1482,33 @@ Result<std::unique_ptr<TrafficService>> TrafficService::Create(
   if (!valid.ok()) return valid;
 
   auto service = std::unique_ptr<TrafficService>(new TrafficService());
-  Impl& im = *service->impl_;
-  im.options = options;
-  im.InitDerived();
-
-  EnvConfig env_config;
-  env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
-  im.env = std::make_unique<DealEnv>(std::move(env_config));
-  World& world = im.env->world();
-  world.set_observation_delivery(ObservationDelivery::kIndexed);
-
-  for (size_t c = 0; c < im.num_chains; ++c) {
-    ChainId id = im.env->AddChain("pool-" + std::to_string(c));
-    world.chain(id)->set_max_txs_per_block(options.block_capacity);
-    im.pool.push_back(id);
-  }
-  im.broker_pool =
-      std::make_unique<BrokerPool>(im.env.get(), options.brokers, im.pool);
-  if (im.any_cbc) {
-    im.cbc_service = std::make_unique<CbcService>(&world, im.CbcOptions());
-    im.MakeCbcDriver();
-  }
-  if (options.watchtower_every > 0) {
-    im.tower_operator = im.env->AddParty("watchtower");
-  }
-  im.receipt_cursor.assign(world.num_chains(), 0);
-  im.RegisterHandlers();
-
-  // Cross-epoch work is scheduled DURABLY so it survives a checkpoint: a
-  // validator rotation or broker kill three epochs out re-fires at the
-  // original (time, seq) position in a restored run.
-  Scheduler& sched = world.scheduler();
-  if (im.cbc_service != nullptr) {
-    for (Tick t : options.cbc_reconfig_times) {
-      for (size_t s = 0; s < im.cbc_service->num_shards(); ++s) {
-        sched.ScheduleDurableAt(t, EventLabel{}, "cbc-reconfig", s);
-      }
-    }
-  }
-  if (im.broker_pool->enabled() && !options.broker_crash_times.empty()) {
-    const size_t num_brokers = im.broker_pool->num_brokers();
-    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
-      const uint64_t b = i % num_brokers;
-      sched.ScheduleDurableAt(options.broker_crash_times[i], EventLabel{},
-                              "broker-crash", b);
-      if (options.broker_recover_after > 0) {
-        sched.ScheduleDurableAt(
-            options.broker_crash_times[i] + options.broker_recover_after,
-            EventLabel{}, "broker-recover", b);
-      }
-    }
-  }
+  service->impl_->core =
+      std::make_unique<TrafficCore>(options, /*drain=*/false);
+  TrafficCore& core = *service->impl_->core;
+  // An unbounded stream may reach any slot of the mix, so the CBC backend
+  // exists whenever the mix names CBC at all.
+  core.Build(core.AnyCbcIn(core.mix.size()));
   return service;
 }
 
 EpochReport TrafficService::Impl::RunEpoch() {
-  World& world = env->world();
-  Scheduler& sched = world.scheduler();
   const size_t first = next_deal;
-  const size_t count = options.deals_per_epoch;
-  const Tick epoch_base = world.now();
-
-  // The global arrival schedule is a pure function of (process, base_seed)
-  // over the deal-index prefix; the epoch re-anchors its slice at the
-  // current clock. Offsets are identical whether the run was restored at
+  const size_t count = core->options.deals_per_epoch;
+  // The epoch re-anchors its slice of the global arrival schedule at the
+  // current clock; offsets are identical whether the run was restored at
   // this boundary or ran straight through.
-  std::vector<Tick> arrivals = BuildArrivalSchedule(
-      options.arrival, first + count, options.base_seed,
-      options.arrival == ArrivalProcess::kFixedStagger
-          ? static_cast<double>(options.admission_gap)
-          : options.mean_interarrival);
+  const Tick epoch_base = core->env.world().now();
+  TrafficCore::Window w = core->RunWindow(first, count, epoch_base);
 
-  // Runtimes and checkers live exactly as long as the epoch: every deal in
-  // it settles before the seal, and the broker pool prunes every escrow-view
-  // pointer at the boundary, so nothing dangles into the next epoch.
-  Arena arena;
-  std::vector<DealSlot> slots(count);
-
-  auto deploy_deal = [this, &world, &slots, &arena, first](size_t i,
-                                                           Tick admit_time) {
-    DealSlot& slot = slots[i];
-    TrafficDealRecord& rec = slot.rec;
-    rec.admitted_at = admit_time;
-
-    DealTimings timings = DealTimings::DefaultsFor(rec.protocol);
-    timings.ShiftBy(admit_time);
-    timings.delta = options.delta;
-    // Deal tags are GLOBAL (index + 1) so gas attribution and indexed
-    // observation stay collision-free across the whole service lifetime.
-    timings.deal_tag = static_cast<uint64_t>(first + i) + 1;
-
-    ProtocolDriver& driver = rec.protocol == Protocol::kCbc
-                                 ? static_cast<ProtocolDriver&>(*cbc_driver)
-                                 : timelock_driver;
-    slot.runtime = driver.CreateDealIn(&arena, &world, slot.spec, timings,
-                                       &slot.factory);
-    Status started = slot.runtime->Deploy();
-    if (!started.ok()) {
-      rec.violation = "start-failed: " + started.ToString();
-      return;
-    }
-    slot.checker = arena.Create<DealChecker>(
-        &world, slot.spec, slot.runtime->escrow_contracts(),
-        timings.deal_tag);
-    if (rec.broker != 0) {
-      for (PartyId p : broker_pool->SharedPartiesOf(first + i)) {
-        slot.checker->MarkSharedParty(p);
-      }
-    }
-    slot.checker->CaptureInitial();
-    rec.started = true;
-  };
-
-  // --- generation: the same per-deal pipeline as RunTraffic, indexed
-  //     globally so derived seeds, protocol mix, injections, and broker
-  //     round-robin are continuations of the stream every prior epoch drew
-  //     from ---
-  for (size_t i = 0; i < count; ++i) {
-    const size_t d = first + i;
-    DealSlot& slot = slots[i];
-    TrafficDealRecord& rec = slot.rec;
-    rec.index = d;
-    rec.seed = TrafficDealSeed(options.base_seed, d);
-    rec.protocol = mix[d % mix.size()];
-    rec.arrival_at = epoch_base + (arrivals[d] - arrivals[first]);
-    rec.admitted_at = rec.arrival_at;
-    Rng rng(rec.seed);
-
-    // Double-spend hosts must live in the same epoch (the injected swap
-    // re-promises the host's tokens; the host's slot must still be open).
-    const bool inject = double_spend.count(d) > 0 && i > 0 &&
-                        double_spend.count(d - 1) == 0;
-    if (inject) {
-      slot.spec = BuildDoubleSpendSpec(env.get(), slots[i - 1], d, rec.seed,
-                                       num_chains, &rng);
-      PartyId adversary = slot.spec.parties[0];
-      slot.has_adversary = true;
-      slot.adversary = adversary;
-      rec.tainted = true;
-      slots[i - 1].has_adversary = true;
-      slots[i - 1].adversary = adversary;
-      slots[i - 1].rec.tainted = true;
-    } else if (broker_pool->IsBrokerDeal(d)) {
-      rec.broker = broker_pool->BrokerOf(d) + 1;
-      slot.spec = broker_pool->MakeDeal(d, rec.seed);
-      rec.broker_capital_need = broker_pool->CapitalNeed(d);
-      rec.broker_inventory_need = broker_pool->InventoryNeed(d);
-    } else {
-      GenParams gen;
-      gen.n_parties = options.min_parties +
-                      rng.Below(options.max_parties - options.min_parties + 1);
-      gen.m_assets = options.min_assets +
-                     rng.Below(options.max_assets - options.min_assets + 1);
-      gen.t_transfers = gen.n_parties + (gen.m_assets - 1) +
-                        rng.Below(options.extra_transfers + 1);
-      gen.nft_every = options.nft_every;
-      gen.seed = rec.seed;
-      gen.name_prefix = "d" + std::to_string(d) + "-";
-      const bool xshard = rec.protocol == Protocol::kCbc &&
-                          options.cbc_xshard_every > 0 &&
-                          cbc_service != nullptr &&
-                          cbc_seen % options.cbc_xshard_every == 0;
-      if (xshard) {
-        const size_t num_shards = cbc_service->num_shards();
-        size_t span = std::min(gen.m_assets, num_shards);
-        size_t start = rng.Below(num_shards);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(
-              cbc_service->chain((start + j) % num_shards));
-        }
-        gen.num_chains = span;
-      } else {
-        size_t span = std::min(gen.m_assets, num_chains);
-        size_t start = rng.Below(num_chains);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(pool[(start + j) % num_chains]);
-        }
-        gen.num_chains = span;
-      }
-      slot.spec = GenerateRandomDeal(env.get(), gen);
-    }
-    if (rec.protocol == Protocol::kCbc) ++cbc_seen;
-    if (rec.protocol == Protocol::kCbc && cbc_service != nullptr &&
-        !slot.spec.assets.empty()) {
-      std::vector<ChainId> asset_chains;
-      asset_chains.reserve(slot.spec.assets.size());
-      for (const AssetRef& a : slot.spec.assets) {
-        asset_chains.push_back(a.chain);
-      }
-      rec.cross_shard =
-          cbc_service->PlaceAssets(slot.spec.deal_id, asset_chains)
-              .cross_shard();
-    }
-    rec.parties = slot.spec.NumParties();
-    rec.assets = slot.spec.NumAssets();
-    rec.transfers = slot.spec.NumTransfers();
-
-    if (rec.protocol == Protocol::kHtlc) {
-      rec.violation = "start-failed: htlc has no traffic driver";
-      continue;
-    }
-
-    TrafficPartyFactory& factory = slot.factory;
-    if (offline.count(d) > 0 && !inject &&
-        rec.protocol == Protocol::kTimelock && !slot.spec.escrows.empty()) {
-      factory.offline = true;
-      factory.offline_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.offline_party;
-      rec.tainted = true;
-    }
-    if (stale_proof.count(d) > 0 && !inject && rec.broker == 0 &&
-        rec.protocol == Protocol::kCbc && !slot.spec.escrows.empty()) {
-      factory.stale_proof = true;
-      factory.stale_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.stale_party;
-      rec.tainted = true;
-    }
-    if (options.watchtower_every > 0 &&
-        d % options.watchtower_every == 0 &&
-        rec.protocol == Protocol::kTimelock) {
-      factory.arm_tower = true;
-      factory.world = &world;
-      factory.tower_operator = tower_operator;
-      factory.towers = &towers;
-      factory.tower_crash_every = options.tower_crash_every;
-      factory.tower_crash_after = options.tower_crash_after;
-      factory.tower_recover_after = options.tower_recover_after;
-      factory.towers_armed = &towers_armed;
-    }
-    if (rec.broker != 0) {
-      factory.broker_pool = broker_pool.get();
-      factory.deal_index = d;
-    }
-    deploy_deal(i, rec.admitted_at);
-  }
-
-  // --- drive to the quiescent boundary: every non-durable event fires
-  //     (tower refund watches and crash/recovery closures included); only
-  //     future durable events may remain pending. Durable events whose time
-  //     falls inside the epoch fire in time order like any other. ---
-  while (sched.pending() > sched.pending_durable()) sched.Step();
-  const Tick sealed_at = world.now();
-
-  // --- evidence scans, receipt-cursor-scoped to this epoch's window ---
-  if (broker_pool->enabled()) {
-    TaintBouncedBrokerEscrows(world, &slots, *broker_pool, &receipt_cursor);
-  }
-  size_t epoch_stale = 0;
-  if (cbc_service != nullptr) {
-    std::map<std::pair<uint32_t, uint32_t>, size_t> site;  // -> local slot
-    for (size_t i = 0; i < count; ++i) {
-      const DealSlot& slot = slots[i];
-      if (!slot.rec.started || slot.rec.protocol != Protocol::kCbc) continue;
-      const std::vector<ContractId>& escrows =
-          slot.runtime->escrow_contracts();
-      for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-        site[{slot.spec.assets[a].chain.v, escrows[a].v}] = i;
-      }
-    }
-    for (uint32_t c = 0; c < world.num_chains(); ++c) {
-      const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-      for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
-        const Receipt& r = all[ri];
-        if (r.tag != "decide" || r.status.ok()) continue;
-        if (r.status.ToString().find("shard mismatch") == std::string::npos) {
-          continue;
-        }
-        ++epoch_stale;
-        auto it = site.find({r.chain.v, r.contract.v});
-        if (it == site.end()) continue;
-        DealSlot& slot = slots[it->second];
-        slot.has_adversary = true;
-        slot.adversary = r.sender;
-        slot.rec.tainted = true;
-      }
-    }
-  }
-
-  // Gas/receipt attribution over this epoch's window. Tags outside the
-  // epoch's global range are leakage (a conformant engine keeps it zero:
-  // every old deal settled before its epoch sealed).
-  std::vector<uint64_t> gas_by(count, 0);
-  std::vector<uint64_t> messages_by(count, 0);
-  uint64_t epoch_untagged = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
-      const Receipt& r = all[ri];
-      if (r.deal_tag <= first || r.deal_tag > first + count) {
-        epoch_untagged += r.gas_used;
-        continue;
-      }
-      gas_by[r.deal_tag - first - 1] += r.gas_used;
-      ++messages_by[r.deal_tag - first - 1];
-    }
-  }
-  for (size_t i = 0; i < count; ++i) {
-    slots[i].rec.gas = gas_by[i];
-    slots[i].rec.messages = messages_by[i];
-  }
-
-  // --- validate: parallel, read-only, per-slot; identical across any
-  //     thread count ---
-  WorkerPool workers(options.num_threads);
-  workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
-
-  std::vector<DoubleSpendIncident> incidents =
-      DetectDoubleSpends(world, slots, &receipt_cursor);
-
-  // --- seal: fold the epoch fingerprint (same per-deal shape as RunTraffic,
-  //     with the open-loop fields always folded and an epoch header in
-  //     front), chain it into the cumulative fold, accumulate totals ---
-  const bool broker_fp = broker_pool->enabled();
-  const bool hopchain_fp =
-      broker_pool->enabled() &&
-      (broker_pool->ChainDepth() > 1 || broker_pool->DynamicPricing());
-  const bool xshard_fp = options.cbc_xshard_every > 0;
-
+  // --- seal: fold the epoch fingerprint (the batch per-deal shape, with
+  //     arrival fields always folded and an epoch header in front), chain
+  //     it into the cumulative fold, accumulate totals ---
   EpochReport epoch;
   epoch.index = epochs_run;
   epoch.first_deal = first;
   epoch.num_deals = count;
-  const size_t violations_before = violations.size();
+  const FoldShape shape =
+      core->Shape(/*arrival=*/true, core->options.admission.enabled);
 
   std::vector<Tick> latencies;
   uint64_t fp = kFpInit;
@@ -1689,123 +1516,48 @@ EpochReport TrafficService::Impl::RunEpoch() {
   fp = MixFingerprint(fp, first);
   fp = MixFingerprint(fp, count);
   fp = MixFingerprint(fp, epoch_base);
-  for (size_t i = 0; i < count; ++i) {
-    TrafficDealRecord& rec = slots[i].rec;
+  for (const TrafficDealRecord& rec : w.deals) {
     if (rec.protocol == Protocol::kTimelock) {
       ++total_timelock;
     } else {
       ++total_cbc;
     }
-    if (rec.committed) {
-      ++epoch.committed;
-      ++total_committed;
-    }
-    if (rec.aborted) {
-      ++epoch.aborted;
-      ++total_aborted;
-    }
+    if (rec.committed) ++epoch.committed;
+    if (rec.aborted) ++epoch.aborted;
+    if (rec.broker != 0) ++total_broker_deals;
+    if (rec.cross_shard) ++total_cross_shard;
     epoch.gas += rec.gas;
-    total_gas += rec.gas;
     total_messages += rec.messages;
     makespan = std::max(makespan, rec.settle_time);
     if (rec.all_settled && rec.settle_time > 0) {
       latencies.push_back(rec.latency);
     }
-    if (!rec.violation.empty()) {
-      violations.push_back(
-          TrafficViolation{rec.index, rec.seed, rec.protocol, rec.violation});
-    }
-
-    fp = MixFingerprint(fp, rec.index);
-    fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
-                                static_cast<uint64_t>(rec.committed) << 1 |
-                                static_cast<uint64_t>(rec.aborted) << 2 |
-                                static_cast<uint64_t>(rec.mixed) << 3 |
-                                static_cast<uint64_t>(rec.all_settled) << 4 |
-                                static_cast<uint64_t>(rec.atomic) << 5 |
-                                static_cast<uint64_t>(rec.safety_ok) << 6 |
-                                static_cast<uint64_t>(rec.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(rec.strong_liveness_ok)
-                                    << 8 |
-                                static_cast<uint64_t>(rec.tainted) << 9);
-    fp = MixFingerprint(fp, rec.gas);
-    fp = MixFingerprint(fp, rec.messages);
-    fp = MixFingerprint(fp, rec.settle_time);
-    fp = MixFingerprint(fp, FingerprintString(rec.violation));
-    fp = MixFingerprint(fp, rec.arrival_at);
-    fp = MixFingerprint(fp, rec.admitted_at);
-    if (broker_fp) {
-      if (rec.broker != 0) ++total_broker_deals;
-      fp = MixFingerprint(fp, rec.broker);
-      fp = MixFingerprint(fp, rec.broker_capital_need);
-      fp = MixFingerprint(fp, rec.broker_inventory_need);
-    }
-    if (rec.broker != 0) {
-      rec.price_points = broker_pool->PricePointsOf(rec.index);
-    }
-    if (rec.cross_shard) ++total_cross_shard;
-    if (hopchain_fp) {
-      fp = MixFingerprint(fp, rec.price_points.size());
-      for (const BrokerPool::PricePoint& pt : rec.price_points) {
-        fp = MixFingerprint(fp, pt.occupancy);
-        fp = MixFingerprint(fp, pt.margin);
-      }
-    }
-    if (xshard_fp) {
-      fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
-    }
-
-    if (rec.broker != 0) {
-      BrokerDealOutcome outcome;
-      outcome.deal_index = rec.index;
-      outcome.arrival_at = rec.arrival_at;
-      outcome.admitted_at = rec.admitted_at;
-      outcome.settle_time = rec.settle_time;
-      outcome.latency = rec.latency;
-      outcome.started = rec.started;
-      outcome.committed = rec.committed;
-      outcome.aborted = rec.aborted;
-      outcome.shed = rec.shed;
-      outcome.all_settled = rec.all_settled;
-      outcome.gas = rec.gas;
-      outcomes.push_back(outcome);
-    }
+    fp = FoldDeal(fp, rec, shape);
   }
-  fp = MixFingerprint(fp, epoch_stale);
-  fp = MixFingerprint(fp, epoch_untagged);
-  for (const DoubleSpendIncident& incident : incidents) {
-    fp = MixFingerprint(fp, incident.loser_deal);
-    fp = MixFingerprint(fp, incident.winner_deal);
-    fp = MixFingerprint(fp, incident.party);
-  }
-  fp = MixFingerprint(fp, sealed_at);
+  fp = MixFingerprint(fp, w.stale_decide_rejections);
+  fp = MixFingerprint(fp, w.untagged_gas);
+  fp = FoldIncidents(fp, w.double_spends);
+  fp = MixFingerprint(fp, w.sealed_at);
 
-  epoch.violations = violations.size() - violations_before;
-  epoch.double_spends = incidents.size();
-  epoch.stale_decide_rejections = epoch_stale;
-  epoch.untagged_gas = epoch_untagged;
+  epoch.violations = w.violations.size();
+  epoch.double_spends = w.double_spends.size();
+  epoch.stale_decide_rejections = w.stale_decide_rejections;
+  epoch.untagged_gas = w.untagged_gas;
   epoch.latency_p50 = Percentile(latencies, 50);
   epoch.latency_p99 = Percentile(latencies, 99);
-  epoch.sealed_at = sealed_at;
-  epoch.events_executed = sched.stats().executed;
+  epoch.sealed_at = w.sealed_at;
+  epoch.events_executed = core->env.world().scheduler().stats().executed;
   epoch.epoch_fingerprint = fp;
-  total_stale += epoch_stale;
-  total_untagged += epoch_untagged;
-  total_double_spends += incidents.size();
+  total_committed += epoch.committed;
+  total_aborted += epoch.aborted;
+  total_gas += epoch.gas;
+  total_stale += w.stale_decide_rejections;
+  total_untagged += w.untagged_gas;
+  total_double_spends += w.double_spends.size();
+  violations.insert(violations.end(), w.violations.begin(),
+                    w.violations.end());
   cumulative_fp = MixFingerprint(cumulative_fp, fp);
   epoch.cumulative_fingerprint = cumulative_fp;
-
-  // --- boundary hygiene: every reservation's deposit has landed or settled
-  //     by quiescence, so the pool drops its runtime pointers before the
-  //     arena (and the epoch's runtimes) die; cursors advance so the next
-  //     seal scans only its own window. ---
-  broker_pool->PruneAll();
-  receipt_cursor.resize(world.num_chains(), 0);
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
-  }
 
   ++epochs_run;
   next_deal = first + count;
@@ -1814,8 +1566,8 @@ EpochReport TrafficService::Impl::RunEpoch() {
 }
 
 Result<Bytes> TrafficService::Impl::DoCheckpoint() {
-  World& world = env->world();
-  broker_pool->PruneAll();
+  World& world = core->env.world();
+  core->broker_pool->PruneAll();
 
   ByteWriter body;
   ByteWriter world_writer;
@@ -1825,8 +1577,8 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
 
   body.U64(next_deal)
       .U64(epochs_run)
-      .U64(towers_armed)
-      .U64(cbc_seen)
+      .U64(core->towers_armed)
+      .U64(core->cbc_seen)
       .U64(cumulative_fp)
       .U64(total_committed)
       .U64(total_aborted)
@@ -1840,10 +1592,10 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
       .U64(total_untagged)
       .U64(total_messages)
       .U64(makespan)
-      .U32(tower_operator.v);
+      .U32(core->tower_operator.v);
 
-  body.U32(static_cast<uint32_t>(pool.size()));
-  for (ChainId id : pool) body.U32(id.v);
+  body.U32(static_cast<uint32_t>(core->pool.size()));
+  for (ChainId id : core->pool) body.U32(id.v);
 
   body.U32(static_cast<uint32_t>(reports.size()));
   for (const EpochReport& e : reports) {
@@ -1873,8 +1625,8 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
         .Str(v.what);
   }
 
-  body.U32(static_cast<uint32_t>(outcomes.size()));
-  for (const BrokerDealOutcome& o : outcomes) {
+  body.U32(static_cast<uint32_t>(core->outcomes.size()));
+  for (const BrokerDealOutcome& o : core->outcomes) {
     body.U64(o.deal_index)
         .U64(o.arrival_at)
         .U64(o.admitted_at)
@@ -1888,17 +1640,17 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
         .Bool(o.all_settled);
   }
 
-  body.Bool(cbc_service != nullptr);
-  if (cbc_service != nullptr) {
-    std::vector<uint32_t> shard_epochs = cbc_service->ShardEpochs();
+  body.Bool(core->cbc_service != nullptr);
+  if (core->cbc_service != nullptr) {
+    std::vector<uint32_t> shard_epochs = core->cbc_service->ShardEpochs();
     body.U32(static_cast<uint32_t>(shard_epochs.size()));
     for (uint32_t e : shard_epochs) body.U32(e);
   }
 
-  body.Bool(broker_pool->enabled());
-  if (broker_pool->enabled()) {
+  body.Bool(core->broker_pool->enabled());
+  if (core->broker_pool->enabled()) {
     ByteWriter pool_writer;
-    Status pool_ok = broker_pool->Checkpoint(&pool_writer);
+    Status pool_ok = core->broker_pool->Checkpoint(&pool_writer);
     if (!pool_ok.ok()) return pool_ok;
     body.Blob(pool_writer.Take());
   }
@@ -1909,7 +1661,7 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
   envelope.Raw(reinterpret_cast<const uint8_t*>(kSnapshotMagic),
                sizeof(kSnapshotMagic));
   envelope.U32(kSnapshotVersion);
-  envelope.U64(OptionsFingerprint(options));
+  envelope.U64(OptionsFingerprint(core->options));
   envelope.Blob(payload);
   envelope.Raw(digest.bytes.data(), digest.bytes.size());
   return envelope.Take();
@@ -1953,14 +1705,9 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
 
   auto service = std::unique_ptr<TrafficService>(new TrafficService());
   Impl& im = *service->impl_;
-  im.options = options;
-  im.InitDerived();
-
-  EnvConfig env_config;
-  env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
-  im.env = std::make_unique<DealEnv>(std::move(env_config));
-  World& world = im.env->world();
+  im.core = std::make_unique<TrafficCore>(options, /*drain=*/false);
+  TrafficCore& core = *im.core;
+  World& world = core.env.world();
 
   ByteReader body(payload);
   XDEAL_ASSIGN_OR_RETURN(Bytes world_blob, body.Blob());
@@ -1980,8 +1727,8 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
 
   XDEAL_ASSIGN_OR_RETURN(uint64_t next_deal, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint64_t epochs_run, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.towers_armed, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.cbc_seen, body.U64());
+  XDEAL_ASSIGN_OR_RETURN(core.towers_armed, body.U64());
+  XDEAL_ASSIGN_OR_RETURN(core.cbc_seen, body.U64());
   XDEAL_ASSIGN_OR_RETURN(im.cumulative_fp, body.U64());
   im.next_deal = static_cast<size_t>(next_deal);
   im.epochs_run = static_cast<size_t>(epochs_run);
@@ -2006,7 +1753,7 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   XDEAL_ASSIGN_OR_RETURN(im.total_messages, body.U64());
   XDEAL_ASSIGN_OR_RETURN(im.makespan, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint32_t tower_op, body.U32());
-  im.tower_operator = PartyId{tower_op};
+  core.tower_operator = PartyId{tower_op};
 
   XDEAL_ASSIGN_OR_RETURN(uint32_t pool_size, body.U32());
   for (uint32_t c = 0; c < pool_size; ++c) {
@@ -2015,7 +1762,7 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
       return Status::InvalidArgument(
           "snapshot rejected: pool chain id out of range");
     }
-    im.pool.push_back(ChainId{id});
+    core.pool.push_back(ChainId{id});
   }
 
   XDEAL_ASSIGN_OR_RETURN(uint32_t num_reports, body.U32());
@@ -2075,56 +1822,26 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     XDEAL_ASSIGN_OR_RETURN(o.aborted, body.Bool());
     XDEAL_ASSIGN_OR_RETURN(o.shed, body.Bool());
     XDEAL_ASSIGN_OR_RETURN(o.all_settled, body.Bool());
-    im.outcomes.push_back(o);
+    core.outcomes.push_back(o);
   }
 
   XDEAL_ASSIGN_OR_RETURN(bool has_cbc, body.Bool());
-  if (has_cbc != im.any_cbc) {
-    return Status::InvalidArgument(
-        "snapshot rejected: CBC backend presence disagrees with options");
-  }
+  std::vector<uint32_t> shard_epochs;
   if (has_cbc) {
     XDEAL_ASSIGN_OR_RETURN(uint32_t num_shards, body.U32());
-    std::vector<uint32_t> shard_epochs;
     for (uint32_t s = 0; s < num_shards; ++s) {
       XDEAL_ASSIGN_OR_RETURN(uint32_t epoch, body.U32());
       shard_epochs.push_back(epoch);
     }
-    // Validator keys and reconfiguration certificates are pure functions of
-    // (seed, epoch): Attach replays Reconfigure() per shard until the
-    // recorded epoch, rebuilding bit-identical sets and history.
-    im.cbc_service = CbcService::Attach(&world, im.CbcOptions(), shard_epochs);
-    if (im.cbc_service == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot rejected: restored world is missing CBC shard chains");
-    }
-    im.MakeCbcDriver();
   }
-
   XDEAL_ASSIGN_OR_RETURN(bool has_brokers, body.Bool());
-  im.broker_pool = std::make_unique<BrokerPool>(
-      im.env.get(), options.brokers, BrokerPool::AttachTag{});
-  if (has_brokers != im.broker_pool->enabled()) {
-    return Status::InvalidArgument(
-        "snapshot rejected: broker pool presence disagrees with options");
-  }
+  Bytes pool_blob;
   if (has_brokers) {
-    XDEAL_ASSIGN_OR_RETURN(Bytes pool_blob, body.Blob());
-    ByteReader pool_reader(pool_blob);
-    Status pool_ok = im.broker_pool->Restore(pool_reader);
-    if (!pool_ok.ok()) return pool_ok;
+    XDEAL_ASSIGN_OR_RETURN(pool_blob, body.Blob());
   }
-
-  // Cursors start at the restored chains' receipt counts (empty: restored
-  // chains carry no receipt history), so the next epoch seal scans exactly
-  // the receipts it produces — the same window the uninterrupted run scans.
-  im.receipt_cursor.assign(world.num_chains(), 0);
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    im.receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
-  }
-  // Durable events were re-imported by World::Restore at their original
-  // (time, seq) positions; only their handlers need re-binding.
-  im.RegisterHandlers();
+  Status attached = core.Attach(has_cbc ? &shard_epochs : nullptr,
+                                has_brokers ? &pool_blob : nullptr);
+  if (!attached.ok()) return attached;
   return service;
 }
 
@@ -2148,24 +1865,10 @@ ServiceReport TrafficService::Impl::BuildFinal() const {
   report.violations = violations;
 
   uint64_t fp = cumulative_fp;
-  if (broker_pool->enabled()) {
-    report.brokers = broker_pool->BuildRecords(outcomes);
-    for (const BrokerRecord& broker : report.brokers) {
-      if (!broker.portfolio_ok) ++report.broker_portfolio_violations;
-      fp = MixFingerprint(fp, broker.index);
-      fp = MixFingerprint(fp, broker.party);
-      fp = MixFingerprint(fp, broker.deals);
-      fp = MixFingerprint(fp, broker.committed);
-      fp = MixFingerprint(fp, broker.aborted);
-      fp = MixFingerprint(fp, broker.shed);
-      fp = MixFingerprint(fp, broker.delayed);
-      fp = MixFingerprint(fp, broker.gas);
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.coin_delta));
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.inventory_delta));
-      fp = MixFingerprint(fp, broker.peak_capital_in_use);
-      fp = MixFingerprint(fp, broker.peak_inventory_in_use);
-      fp = MixFingerprint(fp, broker.portfolio_ok ? 1 : 0);
-    }
+  if (core->broker_pool->enabled()) {
+    report.brokers = core->broker_pool->BuildRecords(core->outcomes);
+    fp = FoldBrokerRecords(fp, report.brokers,
+                           &report.broker_portfolio_violations);
   }
   report.final_fingerprint = fp;
   return report;

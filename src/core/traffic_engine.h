@@ -35,6 +35,20 @@
 // (arrival vs admission time, retries, shed) lands in its record so the
 // report charts what the policy cost and what it saved.
 //
+// One engine core, two entry points. RunTraffic and TrafficService share a
+// single internal core: one backend constructor (env, chain pool, brokers,
+// CBC shards and drivers, tower operator, injection sets, durable handlers)
+// and one window pipeline that takes a run of consecutive deal indices
+// through generation, injections, placement, deployment (inline or via
+// admission events), the drive, the evidence scans, gas attribution, the
+// full-scan oracle, validation, and double-spend detection. RunTraffic is
+// one window of all D deals; each TrafficService::RunEpoch is the next
+// window of deals_per_epoch deals on the same World. The entry points
+// differ only in where a window's arrivals are anchored (the absolute
+// schedule vs. the epoch's start), how far the queue drains (to empty vs.
+// to the durable-only boundary), and how the records fold (the batch fold
+// vs. an epoch header plus the arrival fields).
+//
 // Determinism contract (matches ScenarioSweep): the simulation itself is
 // single-threaded and seed-driven; worker threads only parallelize the
 // post-run per-deal validation, writing into per-deal slots that are folded
@@ -173,9 +187,10 @@ struct TrafficOptions {
   /// O(D^2) hot path on shared chains at D = 10^5. Indexed runs have their
   /// own (deterministic, thread-count-independent) fingerprints.
   bool indexed_observation = false;
-  /// Differential-testing oracle: after the run, recompute every chain's
-  /// per-tag receipt index by full scan and require it to match the
-  /// incrementally built one; any mismatch is reported as a violation.
+  /// Differential-testing oracle: after the run (after each epoch in
+  /// service mode), recompute every chain's per-tag receipt index by full
+  /// scan and require it to match the incrementally built one; any
+  /// mismatch is reported as a violation.
   /// Costs a full receipt sweep — for tests, not for big-D benches.
   bool fullscan_oracle = false;
 
@@ -454,9 +469,11 @@ struct ServiceReport {
 /// checkpoint tests prove it across thread counts, shard counts, brokers,
 /// and reconfigurations straddling the snapshot).
 ///
-/// Requirements: deals_per_epoch > 0, indexed_observation = true (broadcast
-/// delivery draws sequential RNG for observers of long-settled deals that
-/// do not exist after a restore), and the admission controller off.
+/// Requirements: deals_per_epoch > 0 and indexed_observation = true
+/// (broadcast delivery draws sequential RNG for observers of long-settled
+/// deals that do not exist after a restore). The admission controller is
+/// supported: it lives for one epoch, and every admission event fires
+/// inside that epoch, so no controller state crosses a checkpoint.
 class TrafficService {
  public:
   /// Builds a fresh service world (chain pool, brokers, CBC shards) from

@@ -1,7 +1,8 @@
 // TrafficService checkpoint/restore: a run killed at any epoch boundary and
 // restored from its snapshot finishes bit-identical to the uninterrupted
 // run — same cumulative fingerprint, same epoch reports, same final report
-// text — across thread counts, shard counts, broker configurations, and a
+// text — across thread counts, shard counts, broker configurations, the
+// admission controller, the full-scan receipt-index oracle, and a
 // validator reconfiguration scheduled beyond the checkpoint. Corrupted or
 // mismatched snapshots are rejected with distinct errors, never restored.
 
@@ -181,6 +182,60 @@ TEST(CheckpointTest, CrashInjectionSurvivesRestore) {
   }
 }
 
+TEST(CheckpointTest, RestoreWithAdmissionControllerIsBitIdentical) {
+  // The controller is scoped to one epoch and every admission event fires
+  // inside it, so delayed and shed deals restore like any other: the
+  // epoch fold carries their retries, waits, and shed flags.
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 82;
+  options.arrival = ArrivalProcess::kPoisson;
+  options.mean_interarrival = 4.0;
+  options.brokers.num_brokers = 2;
+  options.brokers.broker_every = 3;
+  options.admission.enabled = true;
+  options.admission.max_scheduler_backlog = 80;
+  const size_t kEpochs = 4;
+  ServiceReport straight = RunStraight(options, kEpochs);
+  // The thresholds bite: some deals are shed, the rest commit.
+  EXPECT_GT(straight.committed, 0u);
+  EXPECT_LT(straight.committed, straight.deals);
+  EXPECT_TRUE(straight.violations.empty()) << straight.Summary();
+  for (size_t boundary = 1; boundary < kEpochs; ++boundary) {
+    ExpectBitIdentical(RunWithRestore(options, options, boundary, kEpochs),
+                       straight);
+  }
+
+  // A restore under different thresholds is a different workload.
+  Result<std::unique_ptr<TrafficService>> service =
+      TrafficService::Create(options);
+  ASSERT_TRUE(service.ok());
+  service.value()->RunEpoch();
+  Result<Bytes> snapshot = service.value()->Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  TrafficOptions looser = options;
+  looser.admission.max_scheduler_backlog = 160;
+  EXPECT_FALSE(TrafficService::FromSnapshot(looser, snapshot.value()).ok());
+}
+
+TEST(CheckpointTest, FullScanOracleHoldsAcrossRestore) {
+  // Restored chains start with no receipt history and rebuild their tag
+  // index from the next receipt on; the oracle must agree on both sides of
+  // the boundary.
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 83;
+  options.fullscan_oracle = true;
+  ServiceReport straight = RunStraight(options, 3);
+  ServiceReport restored = RunWithRestore(options, options, 1, 3);
+  ExpectBitIdentical(restored, straight);
+  for (const ServiceReport* report : {&straight, &restored}) {
+    EXPECT_GT(report->committed, 0u);
+    for (const TrafficViolation& v : report->violations) {
+      EXPECT_EQ(v.what.find("receipt-index-mismatch"), std::string::npos)
+          << v.what;
+    }
+  }
+}
+
 // --- snapshot envelope rejection -----------------------------------------
 
 class SnapshotRejectTest : public ::testing::Test {
@@ -259,10 +314,6 @@ TEST(CheckpointTest, ServiceModeRequiresEpochSizeAndIndexedDelivery) {
   TrafficOptions broadcast = ServiceOptions();
   broadcast.indexed_observation = false;
   EXPECT_FALSE(TrafficService::Create(broadcast).ok());
-
-  TrafficOptions admission = ServiceOptions();
-  admission.admission.enabled = true;
-  EXPECT_FALSE(TrafficService::Create(admission).ok());
 }
 
 // --- golden regression: the new knobs, left at their defaults, must not

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "chain/world.h"
@@ -571,6 +572,99 @@ TEST(TrafficEngineTest, ProtocolMixIsRespected) {
   EXPECT_EQ(report.timelock_deals, 0u);
   EXPECT_EQ(report.committed, options.num_deals) << report.Summary();
   EXPECT_TRUE(report.violations.empty()) << report.Summary();
+}
+
+// --- one engine core: RunTraffic is one window of all D deals, and a
+//     TrafficService epoch is one window of deals_per_epoch deals, so a
+//     service whose single epoch holds every deal must report what the
+//     batch run reports ---
+
+TrafficOptions DifferentialOptions() {
+  TrafficOptions options;
+  options.base_seed = 101;
+  options.num_deals = 40;
+  options.num_chains = 6;
+  options.indexed_observation = true;  // required by service mode
+  return options;
+}
+
+void ExpectBatchMatchesOneEpoch(const TrafficOptions& options) {
+  TrafficReport batch = RunTraffic(options);
+  TrafficOptions service_options = options;
+  service_options.deals_per_epoch = options.num_deals;
+  Result<std::unique_ptr<TrafficService>> service =
+      TrafficService::Create(service_options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EpochReport epoch = service.value()->RunEpoch();
+  ServiceReport one = service.value()->Finish();
+
+  SCOPED_TRACE(batch.Summary() + one.Summary());
+  EXPECT_EQ(one.committed, batch.committed);
+  EXPECT_EQ(one.aborted, batch.aborted);
+  EXPECT_EQ(one.total_gas, batch.total_gas);
+  EXPECT_EQ(one.total_messages, batch.total_messages);
+  EXPECT_EQ(one.makespan, batch.makespan);
+  EXPECT_EQ(epoch.events_executed, batch.events_executed);
+  EXPECT_EQ(one.violations.size(), batch.violations.size());
+  EXPECT_EQ(one.double_spends, batch.double_spends.size());
+  EXPECT_EQ(one.stale_decide_rejections, batch.stale_decide_rejections);
+  EXPECT_EQ(one.cross_shard_deals, batch.cross_shard_deals);
+  ASSERT_EQ(one.brokers.size(), batch.brokers.size());
+  for (size_t b = 0; b < batch.brokers.size(); ++b) {
+    const BrokerRecord& x = one.brokers[b];
+    const BrokerRecord& y = batch.brokers[b];
+    EXPECT_EQ(x.deals, y.deals) << "broker " << b;
+    EXPECT_EQ(x.committed, y.committed) << "broker " << b;
+    EXPECT_EQ(x.aborted, y.aborted) << "broker " << b;
+    EXPECT_EQ(x.gas, y.gas) << "broker " << b;
+    EXPECT_EQ(x.coin_delta, y.coin_delta) << "broker " << b;
+    EXPECT_EQ(x.inventory_delta, y.inventory_delta) << "broker " << b;
+    EXPECT_EQ(x.peak_capital_in_use, y.peak_capital_in_use) << "broker " << b;
+    EXPECT_EQ(x.portfolio_ok, y.portfolio_ok) << "broker " << b;
+  }
+}
+
+TEST(TrafficEngineTest, BatchRunMatchesOneEpochServiceRun) {
+  TrafficOptions plain = DifferentialOptions();
+  {
+    SCOPED_TRACE("plain");
+    ExpectBatchMatchesOneEpoch(plain);
+  }
+
+  TrafficOptions infra = plain;
+  infra.watchtower_every = 4;
+  infra.brokers.num_brokers = 2;
+  infra.brokers.broker_every = 3;
+  infra.cbc_shards = 2;
+  infra.cbc_xshard_every = 2;
+  {
+    SCOPED_TRACE("towers, brokers, cross-shard");
+    ExpectBatchMatchesOneEpoch(infra);
+  }
+
+  TrafficOptions injected = infra;
+  injected.double_spend_deals = {5, 17};
+  injected.offline_party_deals = {9, 21};
+  injected.stale_proof_deals = {2, 8, 14};
+  {
+    SCOPED_TRACE("with injections");
+    ExpectBatchMatchesOneEpoch(injected);
+  }
+
+  TrafficOptions reconfig = injected;
+  reconfig.cbc_reconfig_times = {300, 700};
+  {
+    SCOPED_TRACE("with validator reconfiguration");
+    ExpectBatchMatchesOneEpoch(reconfig);
+  }
+
+  // The configurations exercise what they claim to.
+  TrafficReport report = RunTraffic(reconfig);
+  EXPECT_GT(report.broker_deals, 0u);
+  EXPECT_GT(report.cross_shard_deals, 0u);
+  EXPECT_GT(report.double_spends.size(), 0u);
+  EXPECT_GT(report.stale_decide_rejections, 0u);
+  EXPECT_GT(report.aborted, 0u);
 }
 
 }  // namespace
