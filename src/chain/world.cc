@@ -70,6 +70,12 @@ uint64_t World::TotalGas() const {
   return sum;
 }
 
+uint64_t World::TotalReceipts() const {
+  uint64_t n = 0;
+  for (const auto& c : chains_) n += c->receipts().size();
+  return n;
+}
+
 Status World::Checkpoint(ByteWriter* w) const {
   if (observation_delivery_ != ObservationDelivery::kIndexed) {
     return Status::FailedPrecondition(
@@ -155,8 +161,9 @@ Status World::Restore(ByteReader& r,
   }
   auto n_durable = r.U32();
   if (!n_durable.ok()) return n_durable.status();
+  // The count comes from the snapshot and may be forged: grow only as
+  // events actually parse, never reserve() it up front.
   std::vector<DurableEvent> durable;
-  durable.reserve(n_durable.value());
   for (uint32_t i = 0; i < n_durable.value(); ++i) {
     DurableEvent ev;
     auto seq = r.U64();

@@ -107,6 +107,8 @@ class World {
 
   /// Sum of gas across all chains (global cost, Figure 4 rows).
   uint64_t TotalGas() const;
+  /// Transaction receipts across all chains (a run's message count).
+  uint64_t TotalReceipts() const;
 
   /// Serializes the World's durable state into `w`: RNG stream position,
   /// scheduler clock + pending durable events, party registry, and every

@@ -237,4 +237,51 @@ bool DealChecker::Atomic() const {
   return !(any_released && any_refunded);
 }
 
+uint64_t DealVerdict::FlagBits() const {
+  return static_cast<uint64_t>(started) |
+         static_cast<uint64_t>(committed) << 1 |
+         static_cast<uint64_t>(aborted) << 2 |
+         static_cast<uint64_t>(mixed) << 3 |
+         static_cast<uint64_t>(all_settled) << 4 |
+         static_cast<uint64_t>(atomic) << 5 |
+         static_cast<uint64_t>(safety_ok) << 6 |
+         static_cast<uint64_t>(weak_liveness_ok) << 7 |
+         static_cast<uint64_t>(strong_liveness_ok) << 8;
+}
+
+std::string DealVerdict::FailedProperties() const {
+  std::string what;
+  if (!safety_ok) what += "property1-safety ";
+  if (!weak_liveness_ok) what += "property2-weak-liveness ";
+  if (!strong_liveness_ok) what += "property3-strong-liveness ";
+  if (!atomic) what += "atomicity ";
+  if (!what.empty()) what.pop_back();
+  return what;
+}
+
+DealVerdict JudgeDeal(const DealRuntime& runtime, const DealChecker& checker,
+                      const std::vector<PartyId>& compliant,
+                      bool expect_strong) {
+  DealVerdict v;
+  v.started = true;
+  DealResult result = runtime.Collect();
+  v.committed = result.committed;
+  v.aborted = result.aborted;
+  v.mixed = result.mixed;
+  v.all_settled = result.all_settled;
+  v.atomic = result.atomic;
+  v.settle_time = result.settle_time;
+  const bool cbc = runtime.protocol() == Protocol::kCbc;
+  if (cbc) v.atomic = v.atomic && checker.Atomic();
+  v.safety_ok = checker.SafetyHolds(compliant);
+  v.weak_liveness_ok = checker.WeakLivenessHolds(compliant);
+  if (expect_strong) {
+    // Under synchrony an all-compliant CBC deal must commit outright.
+    v.strong_liveness_ok =
+        (!cbc || v.committed) && checker.StrongLivenessHolds();
+  }
+  v.violation = v.FailedProperties();
+  return v;
+}
+
 }  // namespace xdeal

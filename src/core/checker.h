@@ -29,6 +29,7 @@
 #include "chain/world.h"
 #include "contracts/escrow_view.h"
 #include "core/deal_spec.h"
+#include "core/protocol_driver.h"
 #include "util/det.h"
 
 namespace xdeal {
@@ -40,6 +41,7 @@ struct LedgerSnapshot {
   // asset index -> ticket -> owner party (only tickets named in the spec).
   std::vector<std::map<uint64_t, uint32_t>> ticket_owners;
 
+  /// Reads every party's balance and every escrowed ticket's owner now.
   static LedgerSnapshot Capture(const World& world, const DealSpec& spec);
 };
 
@@ -53,6 +55,8 @@ struct PartyVerdict {
   bool token_state_unchanged = false; // token ledger matches full abort
 };
 
+/// Judges one deal against Properties 1-3 from its escrow contracts, its
+/// tagged receipts and the token ledgers before and after the run.
 class DealChecker {
  public:
   /// `escrows` maps asset index -> the deal's escrow contract on that
@@ -105,6 +109,38 @@ class DealChecker {
   LedgerSnapshot initial_;
   bool captured_ = false;
 };
+
+/// Outcome of one drained deal plus its verdict on Properties 1-3: the
+/// fields every harness (traffic, sweep, explorer) reports per deal.
+struct DealVerdict {
+  bool started = false;    // Deploy() succeeded
+  bool committed = false;  // every escrow released
+  bool aborted = false;    // nothing released
+  bool mixed = false;      // some released, some refunded
+  bool all_settled = false;
+  bool atomic = true;      // CBC: same outcome on every chain
+  bool safety_ok = true;          // Property 1 over compliant parties
+  bool weak_liveness_ok = true;   // Property 2 over compliant parties
+  bool strong_liveness_ok = true;  // Property 3 (only when expected)
+  Tick settle_time = 0;    // absolute tick of the last settlement
+  std::string violation;   // failed properties, space-separated; empty = ok
+
+  /// The nine flags above packed into bits 0-8 (started first), the form
+  /// every report fingerprint folds.
+  uint64_t FlagBits() const;
+  /// The failed properties as one space-separated violation string
+  /// (Properties 1, 2, 3, then atomicity); empty when every flag holds.
+  std::string FailedProperties() const;
+};
+
+/// Judges a deployed deal after the scheduler has drained: collects the
+/// outcome from `runtime`, checks Properties 1-2 over `compliant`, CBC
+/// atomicity, and, when `expect_strong` (every party compliant under a
+/// benign network), Property 3 — which for CBC also demands a commit.
+XDEAL_DETERMINISTIC DealVerdict JudgeDeal(const DealRuntime& runtime,
+                                          const DealChecker& checker,
+                                          const std::vector<PartyId>& compliant,
+                                          bool expect_strong);
 
 }  // namespace xdeal
 

@@ -82,6 +82,9 @@ bool FaultInjectionPolicy::ShouldDrop(const EnabledEvent& chosen) {
 
 namespace {
 
+/// Every message's one-way delay in exploration, exactly.
+constexpr Tick kFixedDelay = 3;
+
 /// Everything one execution of a cell needs kept alive, in construction
 /// order (the World must outlive the runtime and checker).
 struct RunInstance {
@@ -91,35 +94,34 @@ struct RunInstance {
   std::unique_ptr<SingleDeviantFactory> factory;
   std::unique_ptr<DealRuntime> runtime;
   std::unique_ptr<DealChecker> checker;
-  DealSpec spec;
-  uint32_t deviant = 0;   // resolved deviant party id (if adversarial)
-  bool adversarial = false;
+  std::vector<PartyId> compliant;  // every party but the deviant, if any
+  bool expect_strong = false;      // Property 3 applies (see JudgeDeal)
   bool deploy_ok = false;
 };
 
-uint64_t CountReceipts(const World& world) {
-  uint64_t n = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    n += world.chain(ChainId{c})->receipts().size();
-  }
-  return n;
-}
-
-/// Builds a fresh, un-run instance of the cell's deal: fixed-delay network
-/// (optionally DoS-wrapped), generated spec, driver, deployed runtime, and
-/// an armed checker. Identical across calls — execution is then a pure
-/// function of the installed ChoicePolicy's decisions.
-RunInstance BuildRun(const ExploreCell& cell) {
+/// Builds a fresh, un-run instance of the cell's deal: network (fixed-delay
+/// unless `net` is given; optionally DoS-wrapped), generated spec, driver,
+/// deployed runtime, and an armed checker. Identical across calls —
+/// execution is then a pure function of the network's draws and the
+/// installed ChoicePolicy's decisions.
+RunInstance BuildRun(const ExploreCell& cell,
+                     std::unique_ptr<NetworkModel> net = nullptr) {
   RunInstance run;
+  if (net == nullptr) {
+    net = std::make_unique<SynchronousNetwork>(kFixedDelay, kFixedDelay);
+  }
+  const bool adversarial = cell.protocol == Protocol::kTimelock
+                               ? static_cast<bool>(cell.timelock_adversary)
+                               : static_cast<bool>(cell.cbc_adversary);
+  // Property 3 presumes every party compliant and a network that is
+  // synchronous from the start; the DoS window attacks the parties instead.
+  run.expect_strong = !adversarial && !cell.dos_window && net->gst() == 0;
 
-  std::unique_ptr<NetworkModel> net = std::make_unique<SynchronousNetwork>(
-      cell.fixed_delay, cell.fixed_delay);
   TargetedDosNetwork* dos = nullptr;
   if (cell.dos_window) {
-    // Same window derivation as ScenarioSweep's kDosWindow: open just after
-    // votes are cast at t0, close past every forwarding deadline. t0 depends
-    // only on the transfer count, learned from a scratch generation (the
-    // generator is deterministic in its params).
+    // Open just after votes are cast at t0, close past every forwarding
+    // deadline. t0 depends only on the transfer count, learned from a
+    // scratch generation (the generator is deterministic in its params).
     size_t steps = 0;
     {
       EnvConfig scratch_config;
@@ -141,26 +143,18 @@ RunInstance BuildRun(const ExploreCell& cell) {
 
   EnvConfig env_config;
   env_config.seed = cell.gen.seed;
-  env_config.block_interval = cell.block_interval;
   env_config.network = std::move(net);
   run.env = std::make_unique<DealEnv>(std::move(env_config));
-  run.spec = GenerateRandomDeal(run.env.get(), cell.gen);
+  DealSpec spec = GenerateRandomDeal(run.env.get(), cell.gen);
 
-  run.adversarial = cell.protocol == Protocol::kTimelock
-                        ? static_cast<bool>(cell.timelock_adversary)
-                        : static_cast<bool>(cell.cbc_adversary);
-  run.deviant =
-      run.spec.parties[cell.deviant_position % run.spec.parties.size()].v;
-
-  if (dos != nullptr) {
-    uint32_t beneficiary =
-        run.spec
-            .parties[cell.dos_beneficiary_position % run.spec.parties.size()]
-            .v;
-    for (PartyId p : run.spec.parties) {
-      if (p.v != beneficiary) {
-        dos->AddTarget(run.env->world().PartyEndpoint(p));
-      }
+  // The deviator for adversarial cells, the untargeted beneficiary for the
+  // DoS window.
+  const uint32_t special =
+      spec.parties[cell.deviant_position % spec.parties.size()].v;
+  for (PartyId p : spec.parties) {
+    if (!adversarial || p.v != special) run.compliant.push_back(p);
+    if (dos != nullptr && p.v != special) {
+      dos->AddTarget(run.env->world().PartyEndpoint(p));
     }
   }
 
@@ -176,80 +170,35 @@ RunInstance BuildRun(const ExploreCell& cell) {
   }
 
   run.factory = std::make_unique<SingleDeviantFactory>(
-      run.adversarial ? run.deviant : 0xFFFFFFFFu, cell.timelock_adversary,
+      adversarial ? special : 0xFFFFFFFFu, cell.timelock_adversary,
       cell.cbc_adversary);
-  run.runtime = run.driver->CreateDeal(&run.env->world(), run.spec,
-                                       cell.timings, run.factory.get());
+  run.runtime = run.driver->CreateDeal(&run.env->world(), spec, cell.timings,
+                                       run.factory.get());
   run.deploy_ok = run.runtime->Deploy().ok();
   if (run.deploy_ok) {
     run.checker = std::make_unique<DealChecker>(
-        &run.env->world(), run.spec, run.runtime->escrow_contracts());
+        &run.env->world(), std::move(spec), run.runtime->escrow_contracts());
     run.checker->CaptureInitial();
   }
   return run;
 }
 
-/// Failed properties -> the run's violation string (empty = clean).
-void FillViolation(ExploreRunResult* out) {
-  std::string v;
-  if (!out->safety_ok) v += "property1-safety ";
-  if (!out->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!out->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!out->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    out->violation = v;
-  }
-}
-
-/// Validates a drained run against Properties 1-3 (mirrors ScenarioSweep's
-/// per-scenario validation) and fingerprints the outcome.
+/// Judges a drained run against Properties 1-3 and fingerprints the
+/// outcome.
 ExploreRunResult ValidateRun(const ExploreCell& cell, RunInstance* run) {
   ExploreRunResult out;
   if (!run->deploy_ok) {
     out.violation = std::string(ToString(cell.protocol)) + "-start-failed";
     return out;
   }
-  out.started = true;
-  DealResult result = run->runtime->Collect();
-  out.committed = result.committed;
-  out.aborted = result.aborted;
-  out.mixed = result.mixed;
-  out.all_settled = result.all_settled;
-  out.atomic = result.atomic;
-  if (cell.protocol == Protocol::kCbc) {
-    out.atomic = out.atomic && run->checker->Atomic();
-  }
-  out.settle_time = result.settle_time;
-  out.total_gas = run->env->world().TotalGas();
-  out.messages = CountReceipts(run->env->world());
-
-  std::vector<PartyId> compliant;
-  for (PartyId p : run->spec.parties) {
-    if (!run->adversarial || p.v != run->deviant) compliant.push_back(p);
-  }
-  out.safety_ok = run->checker->SafetyHolds(compliant);
-  out.weak_liveness_ok = run->checker->WeakLivenessHolds(compliant);
-  if (!run->adversarial && !cell.dos_window) {
-    out.strong_liveness_ok =
-        cell.protocol == Protocol::kCbc
-            ? out.committed && run->checker->StrongLivenessHolds()
-            : run->checker->StrongLivenessHolds();
-  }
-  FillViolation(&out);
+  static_cast<DealVerdict&>(out) = JudgeDeal(
+      *run->runtime, *run->checker, run->compliant, run->expect_strong);
+  const World& world = run->env->world();
+  out.total_gas = world.TotalGas();
+  out.messages = world.TotalReceipts();
 
   uint64_t fp = 0x9E3779B97F4A7C15ULL;
-  fp = MixFingerprint(fp, static_cast<uint64_t>(out.started) |
-                              static_cast<uint64_t>(out.committed) << 1 |
-                              static_cast<uint64_t>(out.aborted) << 2 |
-                              static_cast<uint64_t>(out.mixed) << 3 |
-                              static_cast<uint64_t>(out.all_settled) << 4 |
-                              static_cast<uint64_t>(out.atomic) << 5 |
-                              static_cast<uint64_t>(out.safety_ok) << 6 |
-                              static_cast<uint64_t>(out.weak_liveness_ok)
-                                  << 7 |
-                              static_cast<uint64_t>(out.strong_liveness_ok)
-                                  << 8);
+  fp = MixFingerprint(fp, out.FlagBits());
   fp = MixFingerprint(fp, out.total_gas);
   fp = MixFingerprint(fp, out.messages);
   fp = MixFingerprint(fp, out.settle_time);
@@ -516,14 +465,10 @@ ExploreReport ExploreDeal(const ExploreCell& cell,
 }
 
 ExploreRunResult RunCellWithPolicy(const ExploreCell& cell,
-                                   ChoicePolicy* policy) {
-  RunInstance run = BuildRun(cell);
-  if (!run.deploy_ok) {
-    ExploreRunResult out;
-    out.violation = std::string(ToString(cell.protocol)) + "-start-failed";
-    return out;
-  }
-  DrainRun(&run, policy, [] { return false; });
+                                   ChoicePolicy* policy,
+                                   std::unique_ptr<NetworkModel> network) {
+  RunInstance run = BuildRun(cell, std::move(network));
+  if (run.deploy_ok) DrainRun(&run, policy, [] { return false; });
   return ValidateRun(cell, &run);
 }
 

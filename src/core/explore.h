@@ -11,9 +11,14 @@
 // or opens a new one, and events proven independent (commuting — see
 // DependentEvents) of an already-explored sibling are put to sleep, so
 // exactly one execution per Mazurkiewicz trace class reaches a terminal
-// state. Every terminal state is validated with DealChecker against the
-// paper's Properties 1-3; a violation carries the exact ChoiceTrace that
+// state. Every terminal state is judged by JudgeDeal (core/checker.h)
+// against the paper's Properties 1-3 — the rule the seeded sweep and the
+// traffic engine apply too; a violation carries the exact ChoiceTrace that
 // reproduces it (the analog of a sweep seed, but bit-exact by construction).
+//
+// The same one-run builder also serves the seeded sweep: RunCellWithPolicy
+// with the scenario's sampled network instead of the fixed-delay links is
+// how ScenarioSweep runs its timelock and CBC scenarios.
 //
 // Exploration is stateless: there is no World snapshot/restore, each path is
 // a full re-execution from deal construction. Parallelism is per root
@@ -32,8 +37,10 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "core/deal_gen.h"
 #include "core/protocol_driver.h"
+#include "sim/network.h"
 #include "sim/scheduler.h"
 #include "util/det.h"
 
@@ -57,9 +64,12 @@ struct ChoiceTrace {
   std::vector<uint32_t> choices;
 };
 
-/// One deal configuration to explore. The network is always fixed-delay
-/// (every message takes exactly `fixed_delay` ticks) so that execution is
-/// RNG-free; `gen.seed` still controls the pre-execution deal generation.
+/// One deal configuration to explore. Exploration runs every message at a
+/// fixed 3-tick delay on 10-tick blocks, so execution is RNG-free and a run
+/// is a pure function of its choice sequence; `gen.seed` still controls the
+/// pre-execution deal generation. The deviating party, when an adversary
+/// maker is set, and the untargeted §5.3 DoS beneficiary, when `dos_window`
+/// is set, are the same party: `deviant_position`.
 struct ExploreCell {
   /// Commit protocol under test (kTimelock or kCbc; no HTLC driver).
   Protocol protocol = Protocol::kTimelock;
@@ -67,23 +77,17 @@ struct ExploreCell {
   GenParams gen;
   /// Phase schedule; callers usually start from DealTimings::DefaultsFor.
   DealTimings timings;
-  /// Every message's one-way delay, exactly.
-  Tick fixed_delay = 3;
-  /// Block production period of every chain.
-  Tick block_interval = 10;
-  /// Position (mod n_parties) of the deviating party; ignored when the
-  /// matching adversary maker below is null.
+  /// Position (mod n_parties) of the deviating party, or of the DoS
+  /// beneficiary.
   uint32_t deviant_position = 0;
   /// Deviating strategy for timelock cells (null = all compliant).
   std::function<std::unique_ptr<TimelockParty>()> timelock_adversary;
   /// Deviating strategy for CBC cells (null = all compliant).
   std::function<std::unique_ptr<CbcParty>()> cbc_adversary;
   /// If true, wrap the network in the §5.3 targeted-DoS window: every party
-  /// except the beneficiary is cut off right after votes are cast (the
-  /// window is derived from `timings`, as in ScenarioSweep's kDosWindow).
+  /// except the beneficiary is cut off right after votes are cast at t0,
+  /// until past every forwarding deadline (t0 + (n + 2)·Δ + 1000).
   bool dos_window = false;
-  /// Position (mod n_parties) of the untargeted beneficiary.
-  uint32_t dos_beneficiary_position = 0;
 };
 
 /// Exploration knobs.
@@ -99,20 +103,9 @@ struct ExploreOptions {
 
 /// Outcome + property verdicts of one terminal execution (the per-run
 /// analog of ScenarioOutcome, minus the sweep bookkeeping).
-struct ExploreRunResult {
-  bool started = false;    // Deploy() succeeded
-  bool committed = false;  // every escrow released
-  bool aborted = false;    // nothing released
-  bool mixed = false;      // some released, some refunded
-  bool all_settled = false;
-  bool atomic = true;
-  bool safety_ok = true;         // Property 1 over compliant parties
-  bool weak_liveness_ok = true;  // Property 2 over compliant parties
-  bool strong_liveness_ok = true;  // Property 3 (honest cells only)
+struct ExploreRunResult : DealVerdict {
   uint64_t total_gas = 0;
   uint64_t messages = 0;  // receipts across all chains
-  Tick settle_time = 0;
-  std::string violation;  // empty = conformant
   /// Order-sensitive hash of the fields above; equal values mean
   /// bit-identical runs (the replay-fidelity invariant).
   uint64_t fingerprint = 0;
@@ -170,9 +163,13 @@ ExploreRunResult ReplayTrace(const ExploreCell& cell,
 
 /// Runs `cell` once under an externally supplied policy (e.g. a
 /// FaultInjectionPolicy) and validates the terminal state. A null policy
-/// runs the scheduler's built-in FIFO order.
-ExploreRunResult RunCellWithPolicy(const ExploreCell& cell,
-                                   ChoicePolicy* policy);
+/// runs the scheduler's built-in FIFO order. A non-null `network` replaces
+/// the fixed 3-tick links (the DoS window, if any, wraps it); Property 3 is
+/// then asserted only if its gst() is 0. The seeded sweep runs its timelock
+/// and CBC scenarios this way.
+ExploreRunResult RunCellWithPolicy(
+    const ExploreCell& cell, ChoicePolicy* policy,
+    std::unique_ptr<NetworkModel> network = nullptr);
 
 /// Matches scheduled events for targeted fault injection: kind plus
 /// optional chain/actor constraints (EventLabel::kNoId = wildcard).

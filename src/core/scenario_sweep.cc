@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "baseline/htlc_swap.h"
-#include "cbc/cbc_service.h"
 #include "core/adversaries.h"
 #include "core/cbc_run.h"
 #include "core/checker.h"
@@ -14,6 +13,7 @@
 #include "core/env.h"
 #include "core/protocol_driver.h"
 #include "core/timelock_run.h"
+#include "sim/network.h"
 #include "sim/worker_pool.h"
 #include "util/fingerprint.h"
 #include "util/rng.h"
@@ -28,22 +28,17 @@ constexpr Tick kSweepDelta = 120;
 // outlast the forwarding deadlines, as in the adversary_gallery example.
 constexpr Tick kDosDelta = 80;
 
-uint64_t CountReceipts(const World& world) {
-  uint64_t n = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    n += world.chain(ChainId{c})->receipts().size();
-  }
-  return n;
-}
-
 bool BenignNetwork(SweepNetwork n) {
   return n == SweepNetwork::kSynchronous || n == SweepNetwork::kPostGstSync;
 }
 
-std::unique_ptr<NetworkModel> MakeBenignNetwork(SweepNetwork kind) {
+/// The scenario's sampled network. kDosWindow starts from the synchronous
+/// model; the runner wraps it in the attack window.
+std::unique_ptr<NetworkModel> ScenarioNetwork(SweepNetwork kind) {
   switch (kind) {
     case SweepNetwork::kSynchronous:
-      return nullptr;  // DealEnv's default: SynchronousNetwork(1, 10)
+    case SweepNetwork::kDosWindow:
+      return std::make_unique<SynchronousNetwork>(1, 10);
     case SweepNetwork::kPostGstSync:
       return std::make_unique<SemiSynchronousNetwork>(
           /*gst=*/0, /*pre_gst_max=*/3000, /*min_delay=*/1, /*max_delay=*/10);
@@ -51,8 +46,6 @@ std::unique_ptr<NetworkModel> MakeBenignNetwork(SweepNetwork kind) {
       return std::make_unique<SemiSynchronousNetwork>(
           /*gst=*/4000, /*pre_gst_max=*/3000, /*min_delay=*/1,
           /*max_delay=*/10);
-    case SweepNetwork::kDosWindow:
-      return nullptr;  // built by the timelock runner (window depends on t0)
   }
   return nullptr;
 }
@@ -108,148 +101,23 @@ GenParams GenParamsFor(const ScenarioSpec& sc) {
   return gen;
 }
 
-/// Failed properties -> the scenario's violation string (empty = clean).
-void FillViolation(ScenarioOutcome* out) {
-  std::string v;
-  if (!out->safety_ok) v += "property1-safety ";
-  if (!out->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!out->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!out->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    out->violation = v;
-  }
-}
-
-/// One runner for both commit protocols: what used to be two parallel
-/// Run{Timelock,Cbc}Scenario functions is now a single path through the
-/// ProtocolDriver API, with the protocol differences confined to the driver
-/// choice and the strong-liveness predicate.
-ScenarioOutcome RunDriverScenario(const ScenarioSpec& sc) {
+/// Timelock and CBC scenarios run through the explorer's one-run builder,
+/// under the scenario's sampled network instead of fixed-delay links.
+ScenarioOutcome RunDealScenario(const ScenarioSpec& sc) {
   ScenarioOutcome out;
   out.index = sc.index;
   out.seed = sc.seed;
-
-  GenParams gen = GenParamsFor(sc);
-  DealTimings timings = DealTimings::DefaultsFor(sc.protocol);
-  timings.delta =
-      sc.network == SweepNetwork::kDosWindow ? kDosDelta : kSweepDelta;
-
-  std::unique_ptr<NetworkModel> net;
-  TargetedDosNetwork* dos = nullptr;
-  if (sc.network == SweepNetwork::kDosWindow) {
-    // The attack window opens just after votes are cast at t0 and closes
-    // past every forwarding deadline and refund watchdog. t0 depends only on
-    // the transfer count, which we learn from a scratch generation (the
-    // generator is deterministic in its params, so the real run below
-    // produces the same spec).
-    size_t steps;
-    {
-      EnvConfig scratch_config;
-      scratch_config.seed = sc.seed;
-      DealEnv scratch(std::move(scratch_config));
-      steps = GenerateRandomDeal(&scratch, gen).NumTransfers();
-    }
-    Tick t0 = timings.ValidationTime(steps);
-    Tick attack_start = t0 + 10;
-    Tick attack_end =
-        t0 + static_cast<Tick>(sc.shape.n_parties + 2) * timings.delta + 1000;
-    auto dos_net = std::make_unique<TargetedDosNetwork>(
-        std::make_unique<SynchronousNetwork>(1, 10), attack_start, attack_end);
-    dos = dos_net.get();
-    net = std::move(dos_net);
-  } else {
-    net = MakeBenignNetwork(sc.network);
-  }
-
-  EnvConfig env_config;
-  env_config.seed = sc.seed;
-  env_config.network = std::move(net);
-  DealEnv env(std::move(env_config));
-  DealSpec spec = GenerateRandomDeal(&env, gen);
-
-  // The "special" party: the deviator for adversarial runs, the untargeted
-  // beneficiary for the DoS window.
-  uint32_t special = spec.parties[sc.position % spec.parties.size()].v;
-  if (dos != nullptr) {
-    for (PartyId p : spec.parties) {
-      if (p.v != special) dos->AddTarget(env.world().PartyEndpoint(p));
-    }
-  }
-
-  const bool adversarial = sc.adversary != SweepAdversary::kNone;
-  // A wiring mismatch (an adversary kind this protocol's factory does not
-  // know) must fail the scenario, not silently degrade into an honest run.
-  if (adversarial) {
-    const bool known = sc.protocol == Protocol::kTimelock
-                           ? MakeTimelockAdversary(sc.adversary) != nullptr
-                           : MakeCbcAdversary(sc.adversary) != nullptr;
-    if (!known) {
-      out.violation = "adversary-protocol-mismatch";
-      return out;
-    }
-  }
-
-  std::unique_ptr<CbcService> service;
-  std::unique_ptr<ProtocolDriver> driver;
-  if (sc.protocol == Protocol::kCbc) {
-    CbcService::Options service_options;
-    service_options.validator_seed = "sweep-" + std::to_string(sc.seed);
-    service =
-        std::make_unique<CbcService>(&env.world(), service_options);
-    driver = std::make_unique<CbcDriver>(service.get());
-  } else {
-    driver = std::make_unique<TimelockDriver>();
-  }
-
-  // One deviator at the special position, for either protocol.
-  SingleDeviantFactory factory(
-      special,
-      adversarial ? [&sc] { return MakeTimelockAdversary(sc.adversary); }
-                  : SingleDeviantFactory::TimelockMaker(nullptr),
-      adversarial ? [&sc] { return MakeCbcAdversary(sc.adversary); }
-                  : SingleDeviantFactory::CbcMaker(nullptr));
-  std::unique_ptr<DealRuntime> runtime =
-      driver->CreateDeal(&env.world(), spec, timings, &factory);
-  if (!runtime->Deploy().ok()) {
-    out.violation = std::string(ToString(sc.protocol)) + "-start-failed";
+  // A wiring mismatch (an adversary kind this protocol has no strategy
+  // for) must fail the scenario, not silently degrade into an honest run.
+  if (!AdversaryAppliesTo(sc.adversary, sc.protocol)) {
+    out.violation = "adversary-protocol-mismatch";
     return out;
   }
-  out.started = true;
-  DealChecker checker(&env.world(), spec, runtime->escrow_contracts());
-  checker.CaptureInitial();
-  env.world().scheduler().Run();
-  DealResult result = runtime->Collect();
-
-  out.committed = result.committed;
-  out.aborted = result.aborted;
-  out.mixed = result.mixed;
-  out.all_settled = result.all_settled;
-  out.atomic = result.atomic;
-  if (sc.protocol == Protocol::kCbc) {
-    out.atomic = out.atomic && checker.Atomic();
-  }
-  out.settle_time = result.settle_time;
-  out.total_gas = env.world().TotalGas();
-  out.messages = CountReceipts(env.world());
-
-  // Under the DoS window no *party* deviates, so everyone counts as
-  // compliant — which is exactly how the §5.3 mixed outcome surfaces as a
-  // Property 1 violation.
-  std::vector<PartyId> compliant;
-  for (PartyId p : spec.parties) {
-    if (!adversarial || p.v != special) compliant.push_back(p);
-  }
-  out.safety_ok = checker.SafetyHolds(compliant);
-  out.weak_liveness_ok = checker.WeakLivenessHolds(compliant);
-  if (!adversarial && BenignNetwork(sc.network)) {
-    // Under synchrony an all-compliant CBC deal must commit outright.
-    out.strong_liveness_ok =
-        sc.protocol == Protocol::kCbc
-            ? out.committed && checker.StrongLivenessHolds()
-            : checker.StrongLivenessHolds();
-  }
-  FillViolation(&out);
+  ExploreRunResult run = RunCellWithPolicy(ToExploreCell(sc), nullptr,
+                                           ScenarioNetwork(sc.network));
+  static_cast<DealVerdict&>(out) = run;
+  out.total_gas = run.total_gas;
+  out.messages = run.messages;
   return out;
 }
 
@@ -260,7 +128,7 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
 
   EnvConfig env_config;
   env_config.seed = sc.seed;
-  env_config.network = MakeBenignNetwork(sc.network);
+  env_config.network = ScenarioNetwork(sc.network);
   DealEnv env(std::move(env_config));
 
   // Swaps only express direct pairwise exchanges, so the baseline runs a
@@ -303,14 +171,14 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
   out.all_settled = result.claimed_legs + result.refunded_legs == k;
   out.settle_time = result.settle_time;
   out.total_gas = env.world().TotalGas();
-  out.messages = CountReceipts(env.world());
+  out.messages = env.world().TotalReceipts();
 
   // All parties are compliant: the decreasing-timeout discipline must claim
   // every leg under synchrony, and a mixed outcome is never acceptable.
   out.safety_ok = !out.mixed;
   out.weak_liveness_ok = out.all_settled;
   out.strong_liveness_ok = out.committed;
-  FillViolation(&out);
+  out.violation = out.FailedProperties();
   return out;
 }
 
@@ -431,14 +299,8 @@ std::vector<ScenarioSpec> BuildScenarioMatrix(const SweepAxes& axes,
 }
 
 ScenarioOutcome RunScenario(const ScenarioSpec& spec) {
-  switch (spec.protocol) {
-    case Protocol::kTimelock:
-    case Protocol::kCbc:
-      return RunDriverScenario(spec);
-    case Protocol::kHtlc:
-      return RunHtlcScenario(spec);
-  }
-  return {};
+  return spec.protocol == Protocol::kHtlc ? RunHtlcScenario(spec)
+                                          : RunDealScenario(spec);
 }
 
 SweepReport AggregateOutcomes(const std::vector<ScenarioSpec>& specs,
@@ -480,17 +342,7 @@ SweepReport AggregateOutcomes(const std::vector<ScenarioSpec>& specs,
 
     fp = MixFingerprint(fp, o.index);
     fp = MixFingerprint(fp, o.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(o.started) |
-                                static_cast<uint64_t>(o.committed) << 1 |
-                                static_cast<uint64_t>(o.aborted) << 2 |
-                                static_cast<uint64_t>(o.mixed) << 3 |
-                                static_cast<uint64_t>(o.all_settled) << 4 |
-                                static_cast<uint64_t>(o.atomic) << 5 |
-                                static_cast<uint64_t>(o.safety_ok) << 6 |
-                                static_cast<uint64_t>(o.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(o.strong_liveness_ok)
-                                    << 8);
+    fp = MixFingerprint(fp, o.FlagBits());
     fp = MixFingerprint(fp, o.total_gas);
     fp = MixFingerprint(fp, o.messages);
     fp = MixFingerprint(fp, o.settle_time);
@@ -528,7 +380,6 @@ ExploreCell ToExploreCell(const ScenarioSpec& sc) {
     }
   }
   cell.dos_window = sc.network == SweepNetwork::kDosWindow;
-  cell.dos_beneficiary_position = sc.position;
   return cell;
 }
 

@@ -5,10 +5,13 @@
 // deal_gen (or a ring swap for the HTLC baseline), a protocol run
 // (timelock §5 / CBC §6 / HTLC §8), an optional deviating party from the
 // adversary gallery, and a network model (synchronous, eventually
-// synchronous pre/post GST, or the §5.3 targeted-DoS window). After the
-// scheduler drains, the outcome is validated with DealChecker against the
-// paper's properties; any failed property becomes a SweepViolation carrying
-// the scenario's reproducer seed.
+// synchronous pre/post GST, or the §5.3 targeted-DoS window). Timelock and
+// CBC scenarios run through the explorer's one-run builder
+// (RunCellWithPolicy over ToExploreCell, core/explore.h) with the
+// scenario's sampled network; HTLC rings run on their own. After the
+// scheduler drains, JudgeDeal (core/checker.h) rules on the paper's
+// properties; any failed property becomes a SweepViolation carrying the
+// scenario's reproducer seed.
 //
 // Determinism: scenario i runs with seed ScenarioSeed(base_seed, i),
 // regardless of which worker thread picks it up; workers write into
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "core/explore.h"
 #include "core/protocol_driver.h"
 #include "sim/scheduler.h"
@@ -50,6 +54,7 @@ enum class SweepAdversary : uint8_t {
   kCbcFakeProof,
 };
 
+/// Network model of a scenario (all delays in [1, 10] once synchronous).
 enum class SweepNetwork : uint8_t {
   /// Uniform delays in [1, 10] — the timelock protocol's home turf.
   kSynchronous = 0,
@@ -65,7 +70,9 @@ enum class SweepNetwork : uint8_t {
   kDosWindow,
 };
 
+/// Stable name of an adversary kind, as printed in reports.
 const char* ToString(SweepAdversary a);
+/// Stable name of a network model, as printed in reports.
 const char* ToString(SweepNetwork n);
 
 /// Whether this deviator strategy exists for this protocol.
@@ -111,22 +118,14 @@ struct ScenarioSpec {
   uint64_t replicate = 0;
 };
 
-struct ScenarioOutcome {
+/// One scenario's verdict (for HTLC rings, "committed" means every leg
+/// claimed) plus its cost. Property 3 is asserted only when no party
+/// deviates, no DoS window is open, and the network's gst() is 0.
+struct ScenarioOutcome : DealVerdict {
   size_t index = 0;
   uint64_t seed = 0;
-  bool started = false;    // Start() succeeded
-  bool committed = false;  // every asset released / every leg claimed
-  bool aborted = false;    // nothing released
-  bool mixed = false;      // some released, some refunded
-  bool all_settled = false;
-  bool atomic = true;      // CBC: same outcome on every chain
-  bool safety_ok = true;        // Property 1 over compliant parties
-  bool weak_liveness_ok = true; // Property 2 over compliant parties
-  bool strong_liveness_ok = true;  // Property 3 (honest benign runs only)
   uint64_t total_gas = 0;
   uint64_t messages = 0;   // transaction receipts across all chains
-  Tick settle_time = 0;
-  std::string violation;   // empty = conformant
 };
 
 /// A caught property violation, with everything needed to replay it.
@@ -139,13 +138,16 @@ struct SweepViolation {
   std::string what;
 };
 
+/// A report row: one (protocol, adversary, network) combination.
 struct SweepCellKey {
   Protocol protocol;
   SweepAdversary adversary;
   SweepNetwork network;
+  /// Lexicographic on (protocol, adversary, network): the report's row order.
   bool operator<(const SweepCellKey& o) const;
 };
 
+/// Outcome counts and cost summed over one report row's scenarios.
 struct SweepCellStats {
   size_t runs = 0;
   size_t committed = 0;
@@ -156,6 +158,7 @@ struct SweepCellStats {
   uint64_t messages = 0;
 };
 
+/// A sampled sweep's aggregate: totals, per-row stats, every violation.
 struct SweepReport {
   size_t num_scenarios = 0;
   size_t honest_runs = 0;
@@ -183,6 +186,7 @@ enum class SweepMode : uint8_t {
   kExhaustive,
 };
 
+/// How to run a sweep: base seed, threads, sampled or exhaustive.
 struct SweepOptions {
   uint64_t base_seed = 1;
   /// 0 = hardware concurrency.
@@ -218,8 +222,9 @@ SweepReport RunSweep(const SweepAxes& axes, const SweepOptions& options);
 bool ExhaustivelyExplorable(const ScenarioSpec& sc);
 
 /// Maps one matrix cell to the equivalent explorer cell: same shape, seed,
-/// timings, deviant position, and DoS window, under a fixed 3-tick
-/// per-message delay (the explorer enumerates orders instead of sampling
+/// timings, deviant position, and DoS window. RunScenario runs it under the
+/// scenario's sampled network; the exhaustive sweep explores it under the
+/// explorer's fixed 3-tick links (enumerating orders instead of sampling
 /// delays).
 ExploreCell ToExploreCell(const ScenarioSpec& sc);
 

@@ -148,18 +148,6 @@ class HopCapitalSignal : public AdmissionSignal {
   bool gate_;
 };
 
-void FillViolation(TrafficDealRecord* rec) {
-  std::string v;
-  if (!rec->safety_ok) v += "property1-safety ";
-  if (!rec->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!rec->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!rec->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    rec->violation = v;
-  }
-}
-
 std::vector<PartyId> CompliantPartiesOf(const DealSlot& slot) {
   std::vector<PartyId> compliant;
   for (PartyId p : slot.spec.parties) {
@@ -173,36 +161,14 @@ std::vector<PartyId> CompliantPartiesOf(const DealSlot& slot) {
 void ValidateDeal(DealSlot* slot) {
   TrafficDealRecord& rec = slot->rec;
   if (!rec.started) return;
-
-  DealResult result = slot->runtime->Collect();
-  rec.committed = result.committed;
-  rec.aborted = result.aborted;
-  rec.mixed = result.mixed;
-  rec.all_settled = result.all_settled;
-  rec.atomic = result.atomic;
-  rec.settle_time = result.settle_time;
+  // Property 3 presumes every party compliant; injection-touched deals are
+  // exempt (their abort is the expected defense, not a liveness failure).
+  static_cast<DealVerdict&>(rec) = JudgeDeal(
+      *slot->runtime, *slot->checker, CompliantPartiesOf(*slot), !rec.tainted);
   // Open-loop sojourn time: measured from arrival, so any admission wait
   // the controller imposed is part of the latency the workload observed.
   rec.latency =
       rec.settle_time > rec.arrival_at ? rec.settle_time - rec.arrival_at : 0;
-
-  std::vector<PartyId> compliant = CompliantPartiesOf(*slot);
-  rec.safety_ok = slot->checker->SafetyHolds(compliant);
-  rec.weak_liveness_ok = slot->checker->WeakLivenessHolds(compliant);
-  if (slot->runtime->protocol() == Protocol::kCbc) {
-    rec.atomic = rec.atomic && slot->checker->Atomic();
-  }
-  // Property 3 presumes every party compliant; injection-touched deals are
-  // exempt (their abort is the expected defense, not a liveness failure).
-  if (!rec.tainted) {
-    if (slot->runtime->protocol() == Protocol::kTimelock) {
-      rec.strong_liveness_ok = slot->checker->StrongLivenessHolds();
-    } else {
-      rec.strong_liveness_ok =
-          rec.committed && slot->checker->StrongLivenessHolds();
-    }
-  }
-  FillViolation(&rec);
 }
 
 /// Builds the 2-party over-commit swap for an injected double-spend: the
@@ -355,18 +321,8 @@ uint64_t FoldDeal(uint64_t fp, const TrafficDealRecord& rec,
                   const FoldShape& shape) {
   fp = MixFingerprint(fp, rec.index);
   fp = MixFingerprint(fp, rec.seed);
-  fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
-                              static_cast<uint64_t>(rec.committed) << 1 |
-                              static_cast<uint64_t>(rec.aborted) << 2 |
-                              static_cast<uint64_t>(rec.mixed) << 3 |
-                              static_cast<uint64_t>(rec.all_settled) << 4 |
-                              static_cast<uint64_t>(rec.atomic) << 5 |
-                              static_cast<uint64_t>(rec.safety_ok) << 6 |
-                              static_cast<uint64_t>(rec.weak_liveness_ok)
-                                  << 7 |
-                              static_cast<uint64_t>(rec.strong_liveness_ok)
-                                  << 8 |
-                              static_cast<uint64_t>(rec.tainted) << 9);
+  fp = MixFingerprint(
+      fp, rec.FlagBits() | static_cast<uint64_t>(rec.tainted) << 9);
   fp = MixFingerprint(fp, rec.gas);
   fp = MixFingerprint(fp, rec.messages);
   fp = MixFingerprint(fp, rec.settle_time);
@@ -1697,6 +1653,10 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   }
   XDEAL_ASSIGN_OR_RETURN(Bytes payload, envelope.Blob());
   XDEAL_ASSIGN_OR_RETURN(Bytes digest, envelope.Raw(32));
+  if (!envelope.AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot rejected: trailing bytes after the payload digest");
+  }
   Hash256 expected = Sha256Digest(payload);
   if (std::memcmp(digest.data(), expected.bytes.data(), 32) != 0) {
     return Status::InvalidArgument(
@@ -1831,6 +1791,14 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     XDEAL_ASSIGN_OR_RETURN(uint32_t num_shards, body.U32());
     for (uint32_t s = 0; s < num_shards; ++s) {
       XDEAL_ASSIGN_OR_RETURN(uint32_t epoch, body.U32());
+      // Only the cbc-reconfig durable events rotate shards, once per
+      // scheduled time, and the options fingerprint pins that list: a
+      // higher epoch is forged (and would replay that many rotations).
+      if (epoch > options.cbc_reconfig_times.size()) {
+        return Status::InvalidArgument(
+            "snapshot rejected: shard epoch beyond the reconfiguration "
+            "schedule");
+      }
       shard_epochs.push_back(epoch);
     }
   }
@@ -1838,6 +1806,10 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   Bytes pool_blob;
   if (has_brokers) {
     XDEAL_ASSIGN_OR_RETURN(pool_blob, body.Blob());
+  }
+  if (!body.AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot rejected: trailing bytes after the last field");
   }
   Status attached = core.Attach(has_cbc ? &shard_epochs : nullptr,
                                 has_brokers ? &pool_blob : nullptr);

@@ -69,6 +69,7 @@
 
 #include "core/admission.h"
 #include "core/broker_pool.h"
+#include "core/checker.h"
 #include "core/protocol_driver.h"
 #include "sim/scheduler.h"
 #include "util/bytes.h"
@@ -226,8 +227,9 @@ struct TrafficOptions {
   Tick broker_recover_after = 0;
 };
 
-/// Per-deal outcome row (the unit the report fingerprint folds over).
-struct TrafficDealRecord {
+/// Per-deal outcome row (the unit the report fingerprint folds over): the
+/// deal's DealVerdict plus its workload bookkeeping.
+struct TrafficDealRecord : DealVerdict {
   size_t index = 0;
   uint64_t seed = 0;
   Protocol protocol = Protocol::kTimelock;
@@ -264,23 +266,11 @@ struct TrafficDealRecord {
   size_t assets = 0;
   size_t transfers = 0;
 
-  bool started = false;
-  bool committed = false;
-  bool aborted = false;
-  bool mixed = false;
-  bool all_settled = false;
-  bool atomic = true;
-  bool safety_ok = true;
-  bool weak_liveness_ok = true;
-  bool strong_liveness_ok = true;
-
   uint64_t gas = 0;       // receipts submitted by this deal, per deal_tag
   uint64_t messages = 0;  // transaction receipts carrying this deal's tag
-  Tick settle_time = 0;   // absolute tick of the last settlement
   /// settle_time - arrival_at (0 if never settled): open-loop sojourn time,
   /// including any admission wait the controller imposed.
   Tick latency = 0;
-  std::string violation;  // empty = conformant
 };
 
 /// A property violation on some deal, with the reproducer: re-running

@@ -38,6 +38,10 @@ class NetworkModel {
 
   /// One-way delay for a message sent at `now` from `from` to `to`.
   virtual Tick SampleDelay(Tick now, Endpoint from, Endpoint to, Rng* rng) = 0;
+
+  /// Global stabilization time: delays are bounded from this tick on. 0 for
+  /// every model that is synchronous from the start.
+  virtual Tick gst() const { return 0; }
 };
 
 /// Synchronous model: uniform delay in [min_delay, max_delay]. The protocol's
@@ -69,7 +73,7 @@ class SemiSynchronousNetwork : public NetworkModel {
 
   Tick SampleDelay(Tick now, Endpoint from, Endpoint to, Rng* rng) override;
 
-  Tick gst() const { return gst_; }
+  Tick gst() const override { return gst_; }
 
  private:
   Tick gst_;

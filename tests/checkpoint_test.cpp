@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/traffic_engine.h"
+#include "crypto/sha256.h"
 #include "golden_fps.h"
+#include "util/serialize.h"
 
 namespace xdeal {
 namespace {
@@ -263,10 +266,40 @@ class SnapshotRejectTest : public ::testing::Test {
   Bytes snapshot_;
 };
 
+// Forged payloads: an attacker who rewrites the payload can recompute its
+// SHA-256, so the digest check passes and the payload parser itself must
+// reject the bytes. These helpers edit the payload and re-seal the digest.
+
+/// Rebuilds `snapshot` with its payload passed through `edit` and the digest
+/// recomputed, so only the payload parser stands between it and a restore.
+Bytes Reseal(const Bytes& snapshot, const std::function<void(Bytes*)>& edit) {
+  ByteReader envelope(snapshot);
+  Bytes magic = envelope.Raw(8).value();
+  uint32_t version = envelope.U32().value();
+  uint64_t options_fp = envelope.U64().value();
+  Bytes payload = envelope.Blob().value();
+  edit(&payload);
+  Hash256 digest = Sha256Digest(payload);
+  ByteWriter out;
+  out.Raw(magic).U32(version).U64(options_fp).Blob(payload);
+  out.Raw(digest.bytes.data(), digest.bytes.size());
+  return out.Take();
+}
+
+/// Overwrites the little-endian u32 at `offset`.
+void PutU32(Bytes* b, size_t offset, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*b)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
 TEST_F(SnapshotRejectTest, IntactSnapshotRestores) {
   Result<std::unique_ptr<TrafficService>> restored =
       TrafficService::FromSnapshot(options_, snapshot_);
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+  // Re-sealing an unedited payload is the identity, so each forgery below
+  // is rejected for its edit alone.
+  EXPECT_EQ(Reseal(snapshot_, [](Bytes*) {}), snapshot_);
 }
 
 TEST_F(SnapshotRejectTest, BadMagic) {
@@ -302,6 +335,48 @@ TEST_F(SnapshotRejectTest, TruncatedSnapshot) {
   Result<std::unique_ptr<TrafficService>> restored =
       TrafficService::FromSnapshot(options_, bad);
   EXPECT_FALSE(restored.ok());
+}
+
+TEST_F(SnapshotRejectTest, ForgedDurableEventCountIsRejected) {
+  // Payload layout: world blob length (u32), then the world checkpoint:
+  // 4 RNG words and 5 scheduler words (u64 each), then the durable-event
+  // count. A count of 2^32 - 1 once reached a reserve() that threw
+  // std::bad_alloc out of FromSnapshot.
+  constexpr size_t kDurableCount = 4 + 4 * 8 + 5 * 8;
+  Bytes bad = Reseal(snapshot_, [](Bytes* payload) {
+    PutU32(payload, kDurableCount, 0xFFFFFFFFu);
+  });
+  Result<std::unique_ptr<TrafficService>> restored =
+      TrafficService::FromSnapshot(options_, bad);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SnapshotRejectTest, ForgedShardEpochIsRejected) {
+  // The payload ends with: has_cbc, shard count, one u32 epoch per shard,
+  // has_brokers. These options schedule no reconfiguration, so any epoch
+  // above 0 is forged; 2e9 once made the restore replay 2e9 rotations.
+  ASSERT_EQ(options_.brokers.num_brokers, 0u);
+  Bytes bad = Reseal(snapshot_, [](Bytes* payload) {
+    ASSERT_EQ(payload->back(), 0);  // has_brokers = false
+    PutU32(payload, payload->size() - 1 - 4, 2000000000u);
+  });
+  EXPECT_NE(RestoreError(options_, bad).find("shard epoch beyond"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotRejectTest, TrailingBytesAreRejected) {
+  Bytes padded_payload =
+      Reseal(snapshot_, [](Bytes* payload) { payload->push_back(0); });
+  EXPECT_NE(RestoreError(options_, padded_payload)
+                .find("trailing bytes after the last field"),
+            std::string::npos);
+
+  Bytes padded_envelope = snapshot_;
+  padded_envelope.push_back(0);
+  EXPECT_NE(RestoreError(options_, padded_envelope)
+                .find("trailing bytes after the payload digest"),
+            std::string::npos);
 }
 
 // --- service-mode preconditions ------------------------------------------

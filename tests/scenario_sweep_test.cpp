@@ -1,7 +1,8 @@
 // ScenarioSweep engine: the scenario matrix is stable and seed-derived, a
 // sweep report is bit-identical across thread counts, honest runs are
-// conformant, and a seeded §5.3-style violation is caught and reported with
-// its reproducer seed.
+// conformant, a seeded §5.3-style violation is caught and reported with
+// its reproducer seed, and the stock matrix reproduces its golden
+// fingerprint.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/scenario_sweep.h"
+#include "golden_fps.h"
 
 namespace xdeal {
 namespace {
@@ -201,6 +203,18 @@ TEST(ScenarioSweepTest, DefaultAxesMeetTheAcceptanceFloor) {
   }
   EXPECT_GE(adversaries.size(), 4u);
   EXPECT_GE(protocols.size(), 2u);
+}
+
+TEST(ScenarioSweepTest, DefaultSweepReproducesGoldenFingerprint) {
+  // The matrix bench_sweep gates: any change to how a scenario is built,
+  // run or judged moves this value.
+  SweepOptions options;
+  options.base_seed = 1;
+  options.num_threads = 4;
+  SweepReport report = RunSweep(DefaultSweepAxes(), options);
+  EXPECT_EQ(report.num_scenarios, 804u);
+  EXPECT_TRUE(report.violations.empty()) << report.Summary();
+  EXPECT_EQ(report.fingerprint, kGoldenFpSweepSeed1) << report.Summary();
 }
 
 }  // namespace
