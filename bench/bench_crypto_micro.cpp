@@ -3,8 +3,8 @@
 //
 // A CBC status certificate carries 2f+1 validator signatures over the same
 // status message; every escrow "decide" call verifies all of them. The
-// classic path is 2f+1 independent Verify() calls (two full modular
-// exponentiations each); the batched path (crypto/schnorr.h BatchVerify)
+// classic path is 2f+1 independent Verify() calls (one joint modular
+// exponentiation each); the batched path (crypto/schnorr.h BatchVerify)
 // reduces the whole certificate to ONE combined check evaluated as a single
 // shared-squaring multi-exponentiation. This bench measures both paths at
 // f ∈ {1, 2, 4} (k = 2f+1 signatures) over a population of distinct
@@ -12,6 +12,13 @@
 // must fall back and name the culprit — and emits the costs into the BENCH
 // JSON family (crypto_* metrics; wall-clock, so never baseline-gated — the
 // conformance_ok bit is the exact-gated part).
+//
+// Two same-run ratios compare the fast paths with their references on the
+// same inputs: crypto_field_mulmod_speedup (MulMod's fold reduction for p vs
+// U512::Mul(a, b).Mod(p)) and crypto_verify_speedup (Verify's one joint
+// exponentiation vs the two-PowMod equation g^s == r·y^e). Results must
+// agree; a mismatch fails conformance_ok. The ratios use 1000·certs chained
+// multiplies and 2·certs signatures (half of them tampered).
 //
 // Usage:  bench_crypto_micro [--fs=1,2,4] [--certs=200]
 //                            [--json=BENCH_crypto_micro.json] [--seed=1]
@@ -140,6 +147,98 @@ bool RunMicro(size_t f, size_t num_certs, uint64_t seed,
   return ok;
 }
 
+/// Chained a <- a·b mod p, through `mul`; returns the last a.
+template <typename Mul>
+U256 MulModChain(size_t iters, const U256& seed, const U256& b, Mul mul) {
+  U256 a = seed;
+  for (size_t i = 0; i < iters; ++i) a = mul(a, b);
+  return a;
+}
+
+/// The verification equation before the joint form: g^s == r·y^e (mod p),
+/// as two PowMods and a MulMod.
+bool TwoPowVerify(const PublicKey& key, const Bytes& message,
+                  const Signature& sig) {
+  const U256& p = SchnorrGroup::P();
+  if (sig.r.IsZero() || key.y.IsZero()) return false;
+  if (sig.r >= p || key.y >= p) return false;
+  U256 e = SchnorrChallenge(sig.r, key, message);
+  U256 lhs = U256::PowMod(SchnorrGroup::G(), sig.s, p);
+  U256 rhs = U256::MulMod(sig.r, U256::PowMod(key.y, e, p), p);
+  return lhs == rhs;
+}
+
+/// Same-run ratios of the fast field paths over their references.
+bool RunFieldMicro(size_t mulmods, size_t num_sigs, uint64_t seed,
+                   bench::JsonReport* json) {
+  const U256& p = SchnorrGroup::P();
+  const U256 a0 = U256::FromHash(Sha256Digest(ToBytes(
+      "field-micro-a-" + std::to_string(seed))));
+  const U256 b = U256::FromHash(Sha256Digest(ToBytes(
+      "field-micro-b-" + std::to_string(seed))));
+
+  auto start = std::chrono::steady_clock::now();
+  U256 fast = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
+    return U256::MulMod(x, y, p);
+  });
+  double fast_ms = WallMs(start);
+  start = std::chrono::steady_clock::now();
+  U256 oracle = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
+    return U512::Mul(x, y).Mod(p);
+  });
+  double oracle_ms = WallMs(start);
+
+  // Valid signatures, each also tampered once, so both verdicts occur.
+  std::vector<BatchItem> sigs;
+  for (size_t i = 0; i < num_sigs; ++i) {
+    KeyPair kp = KeyPair::FromSeed("field-micro-" + std::to_string(seed) +
+                                   "-" + std::to_string(i));
+    Bytes msg = ToBytes("field-micro-msg-" + std::to_string(i));
+    Signature sig = kp.Sign(msg);
+    sigs.push_back({kp.public_key(), msg, sig});
+    sig.s = sig.s.Add(U256(1));
+    sigs.push_back({kp.public_key(), msg, sig});
+  }
+  start = std::chrono::steady_clock::now();
+  std::vector<bool> joint;
+  for (const BatchItem& item : sigs) {
+    joint.push_back(Verify(item.key, item.message, item.sig));
+  }
+  double joint_ms = WallMs(start);
+  start = std::chrono::steady_clock::now();
+  std::vector<bool> two_pow;
+  for (const BatchItem& item : sigs) {
+    two_pow.push_back(TwoPowVerify(item.key, item.message, item.sig));
+  }
+  double two_pow_ms = WallMs(start);
+
+  bool ok = true;
+  if (fast != oracle) {
+    std::printf("CRYPTO MICRO FAILURE: fast MulMod chain %s != oracle %s\n",
+                fast.ToHex().c_str(), oracle.ToHex().c_str());
+    ok = false;
+  }
+  if (joint != two_pow) {
+    std::printf("CRYPTO MICRO FAILURE: joint Verify disagrees with the "
+                "two-PowMod equation\n");
+    ok = false;
+  }
+
+  double mulmod_speedup = fast_ms > 0.0 ? oracle_ms / fast_ms : 0.0;
+  double verify_speedup = joint_ms > 0.0 ? two_pow_ms / joint_ms : 0.0;
+  std::printf("MulMod mod p: %zu chained, fold %.1f ns vs Knuth %.1f ns "
+              "(%.2fx)\n",
+              mulmods, 1e6 * fast_ms / mulmods, 1e6 * oracle_ms / mulmods,
+              mulmod_speedup);
+  std::printf("Verify: %zu signatures, joint %.1f us vs two-PowMod %.1f us "
+              "(%.2fx)\n",
+              sigs.size(), 1e3 * joint_ms / sigs.size(),
+              1e3 * two_pow_ms / sigs.size(), verify_speedup);
+  json->AddMetric("crypto_field_mulmod_speedup", mulmod_speedup, "x");
+  json->AddMetric("crypto_verify_speedup", verify_speedup, "x");
+  return ok;
+}
+
 }  // namespace
 }  // namespace xdeal
 
@@ -170,6 +269,9 @@ int main(int argc, char** argv) {
     if (f == 0) continue;
     ok = RunMicro(f, num_certs, seed, &json) && ok;
   }
+  std::printf("\n=== Field arithmetic for p = 2^255 - 19: fast paths vs "
+              "references ===\n");
+  ok = RunFieldMicro(1000 * num_certs, num_certs, seed, &json) && ok;
   // The exact-gated conformance bit: both paths agreed on every cert and
   // blame attribution worked. The wall-clock metrics above are advisory.
   json.AddMetric("conformance_ok", ok ? 1 : 0);

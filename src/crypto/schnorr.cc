@@ -32,16 +32,16 @@ U256 HashToExponent(const Bytes& data) {
   return e;
 }
 
-/// The challenge e = H(r || y || m) mod n.
-U256 Challenge(const U256& r, const PublicKey& key, const Bytes& message) {
+}  // namespace
+
+U256 SchnorrChallenge(const U256& r, const PublicKey& key,
+                      const Bytes& message) {
   ByteWriter w;
   w.Raw(r.ToBytes());
   w.Raw(key.y.ToBytes());
   w.Blob(message);
   return HashToExponent(w.bytes());
 }
-
-}  // namespace
 
 std::string PublicKey::Fingerprint() const {
   return Sha256Digest(Serialize()).ShortHex();
@@ -87,7 +87,7 @@ Signature KeyPair::Sign(const Bytes& message) const {
   const U256& p = SchnorrGroup::P();
   const U256& n = SchnorrGroup::N();
   U256 r = U256::PowMod(SchnorrGroup::G(), k, p);
-  U256 e = Challenge(r, public_key_, message);
+  U256 e = SchnorrChallenge(r, public_key_, message);
   U256 s = U256::AddMod(k, U256::MulMod(e, x_, n), n);
   return Signature{r, s};
 }
@@ -102,10 +102,13 @@ bool Verify(const PublicKey& key, const Bytes& message, const Signature& sig) {
   if (sig.r.IsZero() || key.y.IsZero()) return false;
   if (sig.r >= p || key.y >= p) return false;
 
-  U256 e = Challenge(sig.r, key, message);
-  U256 lhs = U256::PowMod(SchnorrGroup::G(), sig.s, p);
-  U256 rhs = U256::MulMod(sig.r, U256::PowMod(key.y, e, p), p);
-  return lhs == rhs;
+  // g^s == r·y^e  <=>  g^s·y^(n-e) == r: y in [1, p-1] has order dividing
+  // n = p-1, and e in [1, n-1] keeps n-e a valid exponent. Both powers share
+  // one squaring chain.
+  U256 e = SchnorrChallenge(sig.r, key, message);
+  U256 lhs = U256::MultiExpMod(
+      {{SchnorrGroup::G(), sig.s}, {key.y, SchnorrGroup::N().Sub(e)}}, p);
+  return lhs == sig.r;
 }
 
 bool Verify(const PublicKey& key, std::string_view message,
@@ -152,18 +155,23 @@ BatchVerifyResult BatchVerify(const std::vector<BatchItem>& items) {
     }
   }
 
-  // Fiat-Shamir batch seed over every (r, y, m): coefficients are fixed
+  // Fiat-Shamir batch seed over every (r, s, y, m): coefficients are fixed
   // only after the whole batch is, so no item can be chosen against them.
+  // Leaving s out would let a holder of valid signatures shift s_1 by δ·z_2
+  // and s_2 by -δ·z_1: the combined sum stays put while both items fail.
   ByteWriter seed_writer;
   seed_writer.Str("xdeal-batch-seed-v1");
   for (const BatchItem& item : items) {
     seed_writer.Raw(item.sig.r.ToBytes());
+    seed_writer.Raw(item.sig.s.ToBytes());
     seed_writer.Raw(item.key.y.ToBytes());
     seed_writer.Blob(item.message);
   }
   Hash256 batch_seed = Sha256Digest(seed_writer.bytes());
 
-  // g^(Σ z_i·s_i mod n)  ==  Π r_i^{z_i} · y_i^{(z_i·e_i mod n)}  (mod p).
+  // g^(Σ z_i·s_i mod n)  ==  Π r_i^{z_i} · y_i^{(z_i·e_i mod n)}  (mod p),
+  // checked as g^(n - Σ z_i·s_i) · Π r_i^{z_i} · y_i^{z_i·e_i} == 1 so that
+  // g joins the same squaring chain (g^n = 1).
   // Exponent arithmetic mod n = p-1 is sound: every group element's order
   // divides n, so oversized attacker-supplied s values reduce the same way
   // individual verification's g^s does.
@@ -173,14 +181,13 @@ BatchVerifyResult BatchVerify(const std::vector<BatchItem>& items) {
   for (size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
     U256 z = BatchCoefficient(batch_seed, i);
-    U256 e = Challenge(item.sig.r, item.key, item.message);
+    U256 e = SchnorrChallenge(item.sig.r, item.key, item.message);
     s_combined = U256::AddMod(s_combined, U256::MulMod(z, item.sig.s, n), n);
     terms.emplace_back(item.sig.r, z);
     terms.emplace_back(item.key.y, U256::MulMod(z, e, n));
   }
-  U256 lhs = U256::PowMod(SchnorrGroup::G(), s_combined, p);
-  U256 rhs = U256::MultiExpMod(terms, p);
-  if (lhs == rhs) {
+  terms.emplace_back(SchnorrGroup::G(), n.Sub(s_combined));
+  if (U256::MultiExpMod(terms, p) == U256(1)) {
     out.ok = true;
     return out;
   }

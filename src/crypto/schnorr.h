@@ -16,7 +16,8 @@
 //   keygen:  x <- H(seed) mod n,  y = g^x mod p        (n = p - 1, g = 2)
 //   sign:    k = H(x || m) mod n, r = g^k mod p,
 //            e = H(r || y || m) mod n, s = (k + e*x) mod n;  sig = (r, s)
-//   verify:  g^s  ==  r * y^e  (mod p)
+//   verify:  g^s * y^(n-e)  ==  r  (mod p), one joint exponentiation
+//            (equivalent to g^s == r * y^e, since y^n = 1)
 
 #ifndef XDEAL_CRYPTO_SCHNORR_H_
 #define XDEAL_CRYPTO_SCHNORR_H_
@@ -63,7 +64,9 @@ struct Signature {
 
   bool operator==(const Signature& o) const { return r == o.r && s == o.s; }
 
+  /// 64-byte encoding: r then s, each 32 bytes big-endian.
   Bytes Serialize() const;
+  /// Inverse of Serialize; InvalidArgument unless `bytes` is 64 bytes long.
   static Result<Signature> Deserialize(const Bytes& bytes);
 };
 
@@ -79,6 +82,7 @@ class KeyPair {
 
   /// Signs a message (any byte string).
   XDEAL_DETERMINISTIC Signature Sign(const Bytes& message) const;
+  /// Signs the bytes of a string.
   Signature Sign(std::string_view message) const;
 
  private:
@@ -88,10 +92,15 @@ class KeyPair {
   PublicKey public_key_;
 };
 
+/// The Fiat-Shamir challenge e = H(r || y || m) mod n, in [1, n-1] (a zero
+/// hash maps to 1). Sign and Verify derive e this way.
+U256 SchnorrChallenge(const U256& r, const PublicKey& key, const Bytes& message);
+
 /// Verifies that `sig` is a valid signature on `message` under `key`.
 /// Counts as one "signature verification" for gas purposes (the caller,
 /// i.e. a contract, charges kGasSigVerify).
 XDEAL_DETERMINISTIC bool Verify(const PublicKey& key, const Bytes& message, const Signature& sig);
+/// Verify over the bytes of a string.
 bool Verify(const PublicKey& key, std::string_view message,
             const Signature& sig);
 
@@ -114,11 +123,12 @@ struct BatchVerifyResult {
 
 /// Verifies a batch of independent Schnorr signatures with ONE combined
 /// check: random 128-bit coefficients z_i (deterministically derived from
-/// the whole batch, Fiat-Shamir style) reduce the k verification equations
-/// to  g^(Σ z_i·s_i) == Π r_i^{z_i} · y_i^{z_i·e_i}  (mod p), evaluated as
-/// a single shared-squaring multi-exponentiation — the O(1)-squaring-chains
-/// fast path for 2f+1-signature status certificates. If the combined check
-/// fails, falls back to per-signature verification to name the culprit.
+/// every item's (r, s, y, m), Fiat-Shamir style) reduce the k verification
+/// equations to  g^(Σ z_i·s_i) == Π r_i^{z_i} · y_i^{z_i·e_i}  (mod p),
+/// evaluated as ONE shared-squaring multi-exponentiation over all 2k+1
+/// bases, g included — the one-squaring-chain fast path for 2f+1-signature
+/// status certificates. If the combined check fails, falls back to
+/// per-signature verification to name the culprit.
 /// Equivalent to individually verifying every item (up to ~2^-128 soundness
 /// of the random linear combination). An empty batch verifies trivially.
 XDEAL_DETERMINISTIC BatchVerifyResult BatchVerify(const std::vector<BatchItem>& items);

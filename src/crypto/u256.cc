@@ -158,6 +158,72 @@ void DivRem256(const U256& a, const U256& b, U256* q_out, U256* r_out) {
   *r_out = FromDigits(r, vn);
 }
 
+// ---------------------------------------------------------------------------
+// Fast reduction for the Schnorr group prime p = 2^255 - 19 (schnorr.h).
+//
+// 2^256 = 2p + 38, so 2^256 ≡ 38 (mod p): the high half of a 512-bit value
+// folds into the low half with one 64x64 multiply per limb. The small carry
+// out of that fold and bit 255 then fold in together as 19 per 2^255
+// (2^255 ≡ 19), and one branch-free conditional subtraction of p finishes.
+// Every other modulus keeps the generic Knuth division above.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kLow255 = 0x7FFFFFFFFFFFFFFFULL;
+constexpr U256 kP25519 =
+    U256::FromLimbsBigEndian(kLow255, ~0ULL, ~0ULL, 0xFFFFFFFFFFFFFFEDULL);
+
+// Reduces c·2^256 + r mod p, for r < 2^256 and c <= 38. Folding c and bit
+// 255 as 19·(2c + bit) leaves r < 2^255 + 19·77, and r >= p exactly when
+// r + 19 reaches 2^255, in which case clearing that bit of r + 19 is r - p.
+U256 ReduceP25519(uint64_t r0, uint64_t r1, uint64_t r2, uint64_t r3,
+                  uint64_t c) {
+  const uint64_t k = ((c << 1) | (r3 >> 63)) * 19;
+  r3 &= kLow255;
+  __uint128_t acc = static_cast<__uint128_t>(r0) + k;
+  r0 = static_cast<uint64_t>(acc);
+  acc = static_cast<__uint128_t>(r1) + static_cast<uint64_t>(acc >> 64);
+  r1 = static_cast<uint64_t>(acc);
+  acc = static_cast<__uint128_t>(r2) + static_cast<uint64_t>(acc >> 64);
+  r2 = static_cast<uint64_t>(acc);
+  r3 += static_cast<uint64_t>(acc >> 64);
+
+  acc = static_cast<__uint128_t>(r0) + 19;
+  const uint64_t s0 = static_cast<uint64_t>(acc);
+  acc = static_cast<__uint128_t>(r1) + static_cast<uint64_t>(acc >> 64);
+  const uint64_t s1 = static_cast<uint64_t>(acc);
+  acc = static_cast<__uint128_t>(r2) + static_cast<uint64_t>(acc >> 64);
+  const uint64_t s2 = static_cast<uint64_t>(acc);
+  const uint64_t s3 = r3 + static_cast<uint64_t>(acc >> 64);
+  const uint64_t take_s = 0 - (s3 >> 63);  // all ones when r >= p
+  return U256::FromLimbsBigEndian((s3 & kLow255 & take_s) | (r3 & ~take_s),
+                                  (s2 & take_s) | (r2 & ~take_s),
+                                  (s1 & take_s) | (r1 & ~take_s),
+                                  (s0 & take_s) | (r0 & ~take_s));
+}
+
+// a·b mod p for any a, b < 2^256: lo + 38·hi < 39·2^256, so the carry out
+// of the fold is at most 38.
+U256 MulModP25519(const U256& a, const U256& b) {
+  const U512 t = U512::Mul(a, b);
+  uint64_t r[4];
+  uint64_t carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    __uint128_t acc = static_cast<__uint128_t>(t.limbs[i + 4]) * 38 +
+                      t.limbs[i] + carry;
+    r[i] = static_cast<uint64_t>(acc);
+    carry = static_cast<uint64_t>(acc >> 64);
+  }
+  return ReduceP25519(r[0], r[1], r[2], r[3], carry);
+}
+
+// 2a mod p for a < p, the only doubling MultiExpMod makes:
+// 2a < 2p < 2^256, so the shift carries nothing out of bit 255.
+U256 DoubleModP25519(const U256& a) {
+  return ReduceP25519(a.limb(0) << 1, (a.limb(1) << 1) | (a.limb(0) >> 63),
+                      (a.limb(2) << 1) | (a.limb(1) >> 63),
+                      (a.limb(3) << 1) | (a.limb(2) >> 63), 0);
+}
+
 }  // namespace
 
 U256 U256::FromHex(std::string_view hex, bool* ok) {
@@ -348,28 +414,18 @@ U256 U256::SubMod(const U256& a, const U256& b, const U256& m) {
 }
 
 U256 U256::MulMod(const U256& a, const U256& b, const U256& m) {
+  if (m == kP25519) return MulModP25519(a, b);
   return U512::Mul(a, b).Mod(m);
 }
 
 U256 U256::PowMod(const U256& base, const U256& exp, const U256& m) {
-  if (m == U256(1)) return U256();
-  U256 result(1);
-  U256 b = Mod(base, m);
-  int bits = exp.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = MulMod(result, result, m);
-    if (exp.Bit(i)) {
-      result = MulMod(result, b, m);
-    }
-  }
-  return result;
+  return MultiExpMod({{base, exp}}, m);
 }
 
 U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                        const U256& m) {
   if (m == U256(1)) return U256();
-  U256 result(1);
-  if (terms.empty()) return result;
+  const bool mod_p = m == kP25519;
 
   std::vector<U256> bases;
   bases.reserve(terms.size());
@@ -379,13 +435,15 @@ U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
     if (exp.BitLength() > bits) bits = exp.BitLength();
   }
   // One shared squaring chain over the longest exponent; at each bit
-  // position, multiply in every base whose exponent has that bit set.
+  // position, multiply in every base whose exponent has that bit set. Mod p,
+  // multiplying in the base 2 (the generator g) is a doubling.
+  U256 result(1);
   for (int i = bits - 1; i >= 0; --i) {
     result = MulMod(result, result, m);
     for (size_t t = 0; t < terms.size(); ++t) {
-      if (terms[t].second.Bit(i)) {
-        result = MulMod(result, bases[t], m);
-      }
+      if (!terms[t].second.Bit(i)) continue;
+      result = mod_p && bases[t] == U256(2) ? DoubleModP25519(result)
+                                            : MulMod(result, bases[t], m);
     }
   }
   return result;

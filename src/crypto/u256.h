@@ -1,9 +1,16 @@
 // U256: fixed-width 256-bit unsigned integer arithmetic.
 //
 // Built from scratch on 64-bit limbs (little-endian limb order) with a
-// 512-bit intermediate for multiplication and Knuth Algorithm D division.
-// This is the numeric substrate for the Schnorr signature scheme
-// (schnorr.h): modular exponentiation over a 256-bit prime field.
+// 512-bit intermediate for multiplication. This is the numeric substrate for
+// the Schnorr signature scheme (schnorr.h): modular exponentiation over the
+// prime field of p = 2^255 - 19.
+//
+// Reduction is chosen from the modulus value. For m == p, every multiply in
+// MulMod, PowMod and MultiExpMod folds the high half of the product in with
+// 2^256 ≡ 38 (mod p), and a multiply by the base 2 is a doubling. Knuth
+// Algorithm D division serves every other modulus (n = p - 1 in particular),
+// the one-off reductions of Mod/AddMod/SubMod/InvMod, and U512::Mod, which
+// stays the reference the fast path is tested against.
 
 #ifndef XDEAL_CRYPTO_U256_H_
 #define XDEAL_CRYPTO_U256_H_
@@ -52,18 +59,26 @@ class U256 {
   /// 64 hex digits, most significant first.
   std::string ToHex() const;
 
+  /// True for the value 0.
   bool IsZero() const {
     return (limbs_[0] | limbs_[1] | limbs_[2] | limbs_[3]) == 0;
   }
+  /// True when bit 0 is set.
   bool IsOdd() const { return limbs_[0] & 1; }
 
+  /// The i-th 64-bit limb, i in [0, 4), limb 0 least significant.
   uint64_t limb(int i) const { return limbs_[i]; }
+  /// Limb 0.
   uint64_t Low64() const { return limbs_[0]; }
 
   /// Comparison.
   int Compare(const U256& o) const;
-  bool operator==(const U256& o) const { return limbs_ == o.limbs_; }
-  bool operator!=(const U256& o) const { return limbs_ != o.limbs_; }
+  /// Equality, limb by limb (no library call on the hot modulus checks).
+  bool operator==(const U256& o) const {
+    return ((limbs_[0] ^ o.limbs_[0]) | (limbs_[1] ^ o.limbs_[1]) |
+            (limbs_[2] ^ o.limbs_[2]) | (limbs_[3] ^ o.limbs_[3])) == 0;
+  }
+  bool operator!=(const U256& o) const { return !(*this == o); }
   bool operator<(const U256& o) const { return Compare(o) < 0; }
   bool operator<=(const U256& o) const { return Compare(o) <= 0; }
   bool operator>(const U256& o) const { return Compare(o) > 0; }
@@ -71,22 +86,34 @@ class U256 {
 
   /// Wrapping arithmetic mod 2^256. AddWithCarry reports the carry-out.
   U256 Add(const U256& o) const;
+  /// Add that stores the carry-out (0 or 1) in `*carry_out` when non-null.
   U256 AddWithCarry(const U256& o, uint64_t* carry_out) const;
-  U256 Sub(const U256& o) const;  // wraps on underflow
+  /// this - o mod 2^256 (wraps on underflow).
+  U256 Sub(const U256& o) const;
+  /// Logical left shift; a shift by 256 or more yields zero.
   U256 ShiftLeft(unsigned bits) const;
+  /// Logical right shift; a shift by 256 or more yields zero.
   U256 ShiftRight(unsigned bits) const;
 
   /// Number of significant bits (0 for zero).
   int BitLength() const;
+  /// Bit i, i in [0, 256), bit 0 least significant.
   bool Bit(int i) const {
     return (limbs_[i / 64] >> (i % 64)) & 1;
   }
 
-  /// Modular arithmetic. `m` must be nonzero.
+  // Modular arithmetic. `m` must be nonzero; results are in [0, m).
+
+  /// (a + b) mod m.
   static U256 AddMod(const U256& a, const U256& b, const U256& m);
+  /// (a - b) mod m.
   static U256 SubMod(const U256& a, const U256& b, const U256& m);
+  /// (a · b) mod m, for any a, b (operands need not be reduced). Folds by
+  /// 38 when m is the Schnorr prime, otherwise reduces by Knuth division.
   static U256 MulMod(const U256& a, const U256& b, const U256& m);
+  /// base^exp mod m: MultiExpMod with the single term (base, exp).
   static U256 PowMod(const U256& base, const U256& exp, const U256& m);
+  /// a mod m, by Knuth division.
   static U256 Mod(const U256& a, const U256& m);
 
   /// Simultaneous multi-exponentiation: Π base_i^{exp_i} mod m over all
@@ -94,7 +121,8 @@ class U256 {
   /// that shares ONE squaring chain across every term (Shamir's trick
   /// generalized to k bases). For k terms of b-bit exponents this costs
   /// b squarings + (set bits) multiplies instead of k·b squarings — the
-  /// kernel behind batched Schnorr certificate verification. `m` must be
+  /// kernel behind Schnorr verification, single and batched. For the
+  /// Schnorr prime, multiplying in a base of 2 is a doubling. `m` must be
   /// nonzero; an empty `terms` yields 1 mod m.
   static U256 MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                           const U256& m);
@@ -112,10 +140,12 @@ class U256 {
 struct U512 {
   std::array<uint64_t, 8> limbs{};  // little-endian
 
+  /// The full 512-bit product a · b (schoolbook on 64-bit limbs).
   static U512 Mul(const U256& a, const U256& b);
 
   /// Remainder of this 512-bit value modulo a nonzero 256-bit modulus,
-  /// via Knuth Algorithm D with 32-bit digits.
+  /// via Knuth Algorithm D with 32-bit digits, for every modulus alike.
+  /// `U512::Mul(a, b).Mod(m)` is the test oracle for MulMod's fast path.
   U256 Mod(const U256& m) const;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace xdeal {
 namespace {
@@ -213,6 +214,50 @@ TEST(SchnorrBatchTest, DegenerateValuesRejectedBeforeTheCombinedCheck) {
     EXPECT_FALSE(verdict.used_fallback);
     EXPECT_EQ(verdict.first_bad, 0);
   }
+}
+
+// The i-th batch coefficient z_i as derived from a Fiat-Shamir seed over
+// (r, y, m) of every item but not s.
+U256 CoefficientFromSeedWithoutS(const std::vector<BatchItem>& items,
+                                 uint64_t index) {
+  ByteWriter seed_writer;
+  seed_writer.Str("xdeal-batch-seed-v1");
+  for (const BatchItem& item : items) {
+    seed_writer.Raw(item.sig.r.ToBytes());
+    seed_writer.Raw(item.key.y.ToBytes());
+    seed_writer.Blob(item.message);
+  }
+  Hash256 seed = Sha256Digest(seed_writer.bytes());
+  ByteWriter w;
+  w.Str("xdeal-batch-z-v1");
+  w.Raw(seed.bytes.data(), seed.bytes.size());
+  w.U64(index);
+  U256 z = U256::FromHash(Sha256Digest(w.bytes()));
+  z = U256::FromLimbsBigEndian(0, 0, z.limb(1), z.limb(0));
+  if (!z.IsOdd()) z = z.Add(U256(1));
+  return z;
+}
+
+TEST(SchnorrBatchTest, ShiftingSValuesAgainstTheCoefficientsIsCaught) {
+  // With z_i fixed before s is, s_0 += δ·z_1 and s_1 -= δ·z_0 (mod n)
+  // leave Σ z_i·s_i unchanged: the combined equation would still hold while
+  // both signatures fail alone. Seeding the coefficients with s as well
+  // makes the batch verdict match per-signature verification again.
+  const U256& n = SchnorrGroup::N();
+  std::vector<BatchItem> items = MakeBatch(3, "malleable");
+  U256 z0 = CoefficientFromSeedWithoutS(items, 0);
+  U256 z1 = CoefficientFromSeedWithoutS(items, 1);
+  const U256 delta(0x5eed);
+  items[0].sig.s = U256::AddMod(items[0].sig.s, U256::MulMod(delta, z1, n), n);
+  items[1].sig.s = U256::SubMod(items[1].sig.s, U256::MulMod(delta, z0, n), n);
+  ASSERT_FALSE(Verify(items[0].key, items[0].message, items[0].sig));
+  ASSERT_FALSE(Verify(items[1].key, items[1].message, items[1].sig));
+  ASSERT_TRUE(Verify(items[2].key, items[2].message, items[2].sig));
+
+  BatchVerifyResult verdict = BatchVerify(items);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_TRUE(verdict.used_fallback);
+  EXPECT_EQ(verdict.first_bad, 0);
 }
 
 TEST(SchnorrBatchTest, QuorumShapedBatchesAgreeWithPerSigOverManySeeds) {

@@ -1,10 +1,16 @@
 // U256 arithmetic: hex round-trips, comparison, add/sub/mul/mod identities,
 // Knuth-division cross-checked against __int128 for small values and against
-// algebraic identities for full-width values.
+// algebraic identities for full-width values; the fold reduction for the
+// Schnorr prime, the base-2 doubling and the joint Verify cross-checked
+// against U512::Mul(a, b).Mod(m).
 
 #include "crypto/u256.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/schnorr.h"
 #include "util/rng.h"
@@ -238,6 +244,225 @@ TEST(U256Test, U512ModReconstruction) {
     }
     EXPECT_EQ(fast, slow);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fast p = 2^255 - 19 path vs the Knuth-division oracle.
+// ---------------------------------------------------------------------------
+
+U256 OracleMulMod(const U256& a, const U256& b, const U256& m) {
+  return U512::Mul(a, b).Mod(m);
+}
+
+// Left-to-right square-and-multiply on the oracle multiply.
+U256 OraclePowMod(const U256& base, const U256& exp, const U256& m) {
+  U256 result = U256::Mod(U256(1), m);
+  for (int i = exp.BitLength() - 1; i >= 0; --i) {
+    result = OracleMulMod(result, result, m);
+    if (exp.Bit(i)) result = OracleMulMod(result, base, m);
+  }
+  return result;
+}
+
+const U256 kMax256 = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+
+// 0, 1, 2, p-1, p, p+1, 2^255, 2^256-1: operands at and above p included.
+std::vector<U256> EdgeOperands() {
+  const U256& p = SchnorrGroup::P();
+  return {U256(),         U256(1), U256(2),
+          p.Sub(U256(1)), p,       p.Add(U256(1)),
+          U256(1).ShiftLeft(255), kMax256};
+}
+
+// The fold of a·b = hi·2^256 + lo into lo + 38·hi = c·2^256 + r. Reports
+// whether r lands in [p, 2^256) with c == 0 (the fold needs a final
+// subtraction), and whether folding c in as 38·c carries past 2^256 again.
+void ClassifyFold(const U256& a, const U256& b, bool* lands_at_or_above_p,
+                  bool* carries_again) {
+  U512 t = U512::Mul(a, b);
+  U256 lo = U256::FromLimbsBigEndian(t.limbs[3], t.limbs[2], t.limbs[1],
+                                     t.limbs[0]);
+  U256 hi = U256::FromLimbsBigEndian(t.limbs[7], t.limbs[6], t.limbs[5],
+                                     t.limbs[4]);
+  U512 scaled = U512::Mul(hi, U256(38));
+  U256 scaled_lo = U256::FromLimbsBigEndian(scaled.limbs[3], scaled.limbs[2],
+                                            scaled.limbs[1], scaled.limbs[0]);
+  uint64_t add_carry = 0;
+  U256 r = lo.AddWithCarry(scaled_lo, &add_carry);
+  uint64_t c = scaled.limbs[4] + add_carry;
+  uint64_t again = 0;
+  r.AddWithCarry(U256(38 * c), &again);
+  *lands_at_or_above_p = c == 0 && r >= SchnorrGroup::P();
+  *carries_again = again != 0;
+}
+
+TEST(U256FastPathTest, MulModMatchesOracleOnEdgesAndRandom) {
+  const U256& p = SchnorrGroup::P();
+  std::vector<U256> operands = EdgeOperands();
+  Rng rng(53);
+  for (int i = 0; i < 24; ++i) operands.push_back(RandomU256(&rng));
+  for (const U256& a : operands) {
+    for (const U256& b : operands) {
+      EXPECT_EQ(U256::MulMod(a, b, p), OracleMulMod(a, b, p))
+          << a.ToHex() << " * " << b.ToHex();
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    U256 a = RandomU256(&rng);
+    U256 b = RandomU256(&rng);
+    ASSERT_EQ(U256::MulMod(a, b, p), OracleMulMod(a, b, p))
+        << a.ToHex() << " * " << b.ToHex();
+  }
+}
+
+TEST(U256FastPathTest, MulModFoldLandingAtOrAboveP) {
+  // Products below 2^256 fold to themselves; these sit in [p, 2^256), the
+  // last ones in [2p, 2^256) where two subtractions of p are needed.
+  const U256& p = SchnorrGroup::P();
+  const U256 low128 = U256::FromLimbsBigEndian(0, 0, ~0ULL, ~0ULL);
+  std::vector<std::pair<U256, U256>> cases = {
+      {low128, low128},
+      {U256(1), p},
+      {U256(1), p.Add(U256(1))},
+      {U256(1), kMax256.Sub(U256(38))},
+      {U256(1), kMax256.Sub(U256(37))},
+      {U256(1), kMax256},
+      {U256(2), p.Sub(U256(1))},
+  };
+  for (const auto& [a, b] : cases) {
+    bool above_p = false;
+    bool carries_again = false;
+    ClassifyFold(a, b, &above_p, &carries_again);
+    EXPECT_TRUE(above_p) << a.ToHex() << " * " << b.ToHex();
+    EXPECT_EQ(U256::MulMod(a, b, p), OracleMulMod(a, b, p))
+        << a.ToHex() << " * " << b.ToHex();
+  }
+}
+
+TEST(U256FastPathTest, MulModCarryFoldThatCarriesAgain) {
+  // (2^256 - x)(2^256 - y) folds to 38·2^256 + xy - 38(x + y); the carry
+  // fold wraps again exactly when (x - 38)(y - 38) lies in [38, 1444).
+  const U256& p = SchnorrGroup::P();
+  const std::vector<std::pair<uint64_t, uint64_t>> offsets = {
+      {39, 76}, {76, 39}, {50, 50}, {75, 75}, {40, 57}, {39, 1481}};
+  for (const auto& [x, y] : offsets) {
+    U256 a = kMax256.Sub(U256(x - 1));
+    U256 b = kMax256.Sub(U256(y - 1));
+    bool above_p = false;
+    bool carries_again = false;
+    ClassifyFold(a, b, &above_p, &carries_again);
+    EXPECT_TRUE(carries_again) << "x=" << x << " y=" << y;
+    EXPECT_EQ(U256::MulMod(a, b, p), OracleMulMod(a, b, p))
+        << "x=" << x << " y=" << y;
+  }
+}
+
+TEST(U256FastPathTest, ModuliNextToPTakeTheGenericPath) {
+  const U256& p = SchnorrGroup::P();
+  Rng rng(59);
+  for (const U256& m : {p.Sub(U256(1)), p.Add(U256(1)), p.Add(U256(2))}) {
+    for (int i = 0; i < 50; ++i) {
+      U256 a = RandomU256(&rng);
+      U256 b = RandomU256(&rng);
+      EXPECT_EQ(U256::MulMod(a, b, m), OracleMulMod(a, b, m));
+    }
+  }
+}
+
+TEST(U256FastPathTest, PowModBaseTwoMatchesOracle) {
+  const U256& p = SchnorrGroup::P();
+  const U256& n = SchnorrGroup::N();
+  std::vector<U256> exps = {U256(),    U256(1),        U256(2),
+                            U256(255), U256(256),      n.Sub(U256(1)),
+                            n,         p,              kMax256};
+  Rng rng(61);
+  for (int i = 0; i < 12; ++i) exps.push_back(RandomU256(&rng));
+  for (const U256& e : exps) {
+    EXPECT_EQ(U256::PowMod(U256(2), e, p), OraclePowMod(U256(2), e, p))
+        << e.ToHex();
+  }
+  // A base that reduces to 2 takes the doubling path too.
+  U256 e = RandomU256(&rng);
+  EXPECT_EQ(U256::PowMod(p.Add(U256(2)), e, p), OraclePowMod(U256(2), e, p));
+}
+
+TEST(U256FastPathTest, PowModAndMultiExpOtherBasesMatchOracle) {
+  const U256& p = SchnorrGroup::P();
+  Rng rng(67);
+  for (int i = 0; i < 6; ++i) {
+    U256 base = RandomU256(&rng);
+    U256 e = RandomU256(&rng);
+    U256 reduced = OracleMulMod(base, U256(1), p);
+    EXPECT_EQ(U256::PowMod(base, e, p), OraclePowMod(reduced, e, p));
+  }
+  // Mixed terms, one on base 2, against a product of oracle powers.
+  std::vector<std::pair<U256, U256>> terms = {
+      {U256(2), RandomU256(&rng)},
+      {RandomU256(&rng), RandomU256(&rng)},
+      {p.Sub(U256(1)), RandomU256(&rng)}};
+  U256 expect(1);
+  for (const auto& [base, e] : terms) {
+    expect = OracleMulMod(
+        expect, OraclePowMod(OracleMulMod(base, U256(1), p), e, p), p);
+  }
+  EXPECT_EQ(U256::MultiExpMod(terms, p), expect);
+}
+
+// The verification equation before the joint form: g^s == r · y^e, with
+// both powers on the oracle.
+bool TwoPowVerify(const PublicKey& key, const Bytes& message,
+                  const Signature& sig) {
+  const U256& p = SchnorrGroup::P();
+  if (sig.r.IsZero() || key.y.IsZero()) return false;
+  if (sig.r >= p || key.y >= p) return false;
+  U256 e = SchnorrChallenge(sig.r, key, message);
+  U256 lhs = OraclePowMod(SchnorrGroup::G(), sig.s, p);
+  U256 rhs = OracleMulMod(sig.r, OraclePowMod(key.y, e, p), p);
+  return lhs == rhs;
+}
+
+TEST(U256FastPathTest, JointVerifyMatchesTwoPowEquation) {
+  const U256& p = SchnorrGroup::P();
+  const U256& n = SchnorrGroup::N();
+  struct Case {
+    PublicKey key;
+    Bytes message;
+    Signature sig;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 4; ++i) {
+    KeyPair kp = KeyPair::FromSeed("joint-" + std::to_string(i));
+    Bytes msg = ToBytes("joint verify " + std::to_string(i));
+    Signature sig = kp.Sign(msg);
+    const PublicKey& y = kp.public_key();
+    const PublicKey other = KeyPair::FromSeed("x").public_key();
+    const U256 r2 = U256::MulMod(sig.r, U256(2), p);
+    cases.push_back({y, msg, sig});                              // valid
+    cases.push_back({y, ToBytes("other"), sig});                 // message
+    cases.push_back({other, msg, sig});                          // key
+    cases.push_back({y, msg, {sig.r, sig.s.Add(U256(1))}});      // s + 1
+    cases.push_back({y, msg, {r2, sig.s}});                      // 2r
+    cases.push_back({y, msg, {sig.r, sig.s.Add(n)}});            // s >= n
+    cases.push_back({y, msg, {sig.r, U256()}});                  // s = 0
+    cases.push_back({y, msg, {sig.r, kMax256}});                 // s max
+    cases.push_back({y, msg, {U256(), sig.s}});                  // r = 0
+    cases.push_back({y, msg, {p, sig.s}});                       // r = p
+    cases.push_back({y, msg, {p.Sub(U256(1)), sig.s}});          // r = p-1
+    cases.push_back({PublicKey{U256()}, msg, sig});              // y = 0
+    cases.push_back({PublicKey{p}, msg, sig});                   // y = p
+    cases.push_back({PublicKey{U256(1)}, msg, {U256(1), U256()}});  // 1 = 1
+    cases.push_back({PublicKey{p.Sub(U256(1))}, msg, sig});      // order 2
+  }
+  int valid = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    bool expect = TwoPowVerify(c.key, c.message, c.sig);
+    EXPECT_EQ(Verify(c.key, c.message, c.sig), expect) << "case " << i;
+    if (expect) ++valid;
+  }
+  // The valid, s >= n and (y = 1, r = 1, s = 0) shapes verify; the rest
+  // do not.
+  EXPECT_EQ(valid, 12);
 }
 
 }  // namespace
