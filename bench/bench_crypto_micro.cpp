@@ -13,21 +13,29 @@
 // JSON family (crypto_* metrics; wall-clock, so never baseline-gated — the
 // conformance_ok bit is the exact-gated part).
 //
-// Two same-run ratios compare the fast paths with their references on the
+// Three same-run ratios compare the fast paths with their references on the
 // same inputs: crypto_field_mulmod_speedup (MulMod's fold reduction for p vs
-// U512::Mul(a, b).Mod(p)) and crypto_verify_speedup (Verify's one joint
-// exponentiation vs the two-PowMod equation g^s == r·y^e). Results must
-// agree; a mismatch fails conformance_ok. The ratios use 1000·certs chained
-// multiplies and 2·certs signatures (half of them tampered).
+// U512::Mul(a, b).Mod(p)), crypto_verify_speedup (Verify's one joint
+// exponentiation vs the two-PowMod equation g^s == r·y^e) and
+// crypto_sign_speedup (the fixed-base comb behind PowMod(g, k, p) vs a
+// square-and-multiply ladder). Results must agree; a mismatch fails
+// conformance_ok. The ratios use 1000·certs chained multiplies, 2·certs
+// signatures (half of them tampered) and 10·certs nonces.
+//
+// Every timed path runs kRepeats times, alternating with the path it is
+// compared against, and reports its median time, so one noisy pass moves no
+// ratio.
 //
 // Usage:  bench_crypto_micro [--fs=1,2,4] [--certs=200]
 //                            [--json=BENCH_crypto_micro.json] [--seed=1]
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,10 +44,30 @@
 namespace xdeal {
 namespace {
 
-double WallMs(std::chrono::steady_clock::time_point start) {
+constexpr int kRepeats = 5;
+
+template <typename Path>
+double TimeMs(Path& path) {
+  const auto start = std::chrono::steady_clock::now();
+  path();
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Runs paths `a` and `b` kRepeats times each, alternating so that both see
+/// the same host noise; returns the median wall time of one run of each, ms.
+template <typename A, typename B>
+std::pair<double, double> MedianMs(A a, B b) {
+  std::vector<double> a_ms;
+  std::vector<double> b_ms;
+  for (int i = 0; i < kRepeats; ++i) {
+    a_ms.push_back(TimeMs(a));
+    b_ms.push_back(TimeMs(b));
+  }
+  std::sort(a_ms.begin(), a_ms.end());
+  std::sort(b_ms.begin(), b_ms.end());
+  return {a_ms[kRepeats / 2], b_ms[kRepeats / 2]};
 }
 
 /// One synthetic status certificate: k validators, each signing the same
@@ -80,27 +108,30 @@ bool RunMicro(size_t f, size_t num_certs, uint64_t seed,
   std::vector<Cert> certs = MakeCerts(num_certs, k, f, seed);
 
   // Path 1: per-signature verification, 2f+1 Verify() calls per cert.
-  auto start = std::chrono::steady_clock::now();
-  size_t per_sig_valid = 0;
-  for (const Cert& cert : certs) {
-    bool all = true;
-    for (const BatchItem& item : cert.items) {
-      all = Verify(item.key, item.message, item.sig) && all;
-    }
-    if (all) ++per_sig_valid;
-  }
-  double per_cert_ms = WallMs(start);
-
   // Path 2: one BatchVerify per cert.
-  start = std::chrono::steady_clock::now();
+  size_t per_sig_valid = 0;
   size_t batch_valid = 0;
   size_t fallbacks = 0;
-  for (const Cert& cert : certs) {
-    BatchVerifyResult verdict = BatchVerify(cert.items);
-    if (verdict.ok) ++batch_valid;
-    if (verdict.used_fallback) ++fallbacks;
-  }
-  double batch_ms = WallMs(start);
+  auto per_cert = [&] {
+    per_sig_valid = 0;
+    for (const Cert& cert : certs) {
+      bool all = true;
+      for (const BatchItem& item : cert.items) {
+        all = Verify(item.key, item.message, item.sig) && all;
+      }
+      if (all) ++per_sig_valid;
+    }
+  };
+  auto batch = [&] {
+    batch_valid = 0;
+    fallbacks = 0;
+    for (const Cert& cert : certs) {
+      BatchVerifyResult verdict = BatchVerify(cert.items);
+      if (verdict.ok) ++batch_valid;
+      if (verdict.used_fallback) ++fallbacks;
+    }
+  };
+  const auto [per_cert_ms, batch_ms] = MedianMs(per_cert, batch);
 
   bool ok = true;
   if (per_sig_valid != num_certs || batch_valid != num_certs ||
@@ -168,25 +199,40 @@ bool TwoPowVerify(const PublicKey& key, const Bytes& message,
   return lhs == rhs;
 }
 
+/// g^k mod p by the left-to-right square-and-multiply ladder: one squaring
+/// per bit of k, and a doubling for each set bit.
+U256 LadderPowG(const U256& k) {
+  const U256& p = SchnorrGroup::P();
+  U256 result(1);
+  for (int i = k.BitLength() - 1; i >= 0; --i) {
+    result = U256::MulMod(result, result, p);
+    if (k.Bit(i)) result = U256::AddMod(result, result, p);
+  }
+  return result;
+}
+
 /// Same-run ratios of the fast field paths over their references.
-bool RunFieldMicro(size_t mulmods, size_t num_sigs, uint64_t seed,
-                   bench::JsonReport* json) {
+bool RunFieldMicro(size_t mulmods, size_t num_sigs, size_t num_nonces,
+                   uint64_t seed, bench::JsonReport* json) {
   const U256& p = SchnorrGroup::P();
   const U256 a0 = U256::FromHash(Sha256Digest(ToBytes(
       "field-micro-a-" + std::to_string(seed))));
   const U256 b = U256::FromHash(Sha256Digest(ToBytes(
       "field-micro-b-" + std::to_string(seed))));
 
-  auto start = std::chrono::steady_clock::now();
-  U256 fast = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
-    return U256::MulMod(x, y, p);
-  });
-  double fast_ms = WallMs(start);
-  start = std::chrono::steady_clock::now();
-  U256 oracle = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
-    return U512::Mul(x, y).Mod(p);
-  });
-  double oracle_ms = WallMs(start);
+  U256 fast;
+  U256 oracle;
+  auto fast_chain = [&] {
+    fast = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
+      return U256::MulMod(x, y, p);
+    });
+  };
+  auto oracle_chain = [&] {
+    oracle = MulModChain(mulmods, a0, b, [&](const U256& x, const U256& y) {
+      return U512::Mul(x, y).Mod(p);
+    });
+  };
+  const auto [fast_ms, oracle_ms] = MedianMs(fast_chain, oracle_chain);
 
   // Valid signatures, each also tampered once, so both verdicts occur.
   std::vector<BatchItem> sigs;
@@ -199,18 +245,42 @@ bool RunFieldMicro(size_t mulmods, size_t num_sigs, uint64_t seed,
     sig.s = sig.s.Add(U256(1));
     sigs.push_back({kp.public_key(), msg, sig});
   }
-  start = std::chrono::steady_clock::now();
-  std::vector<bool> joint;
-  for (const BatchItem& item : sigs) {
-    joint.push_back(Verify(item.key, item.message, item.sig));
+  std::vector<bool> joint(sigs.size());
+  std::vector<bool> two_pow(sigs.size());
+  auto joint_verify = [&] {
+    for (size_t i = 0; i < sigs.size(); ++i) {
+      joint[i] = Verify(sigs[i].key, sigs[i].message, sigs[i].sig);
+    }
+  };
+  auto two_pow_verify = [&] {
+    for (size_t i = 0; i < sigs.size(); ++i) {
+      two_pow[i] = TwoPowVerify(sigs[i].key, sigs[i].message, sigs[i].sig);
+    }
+  };
+  const auto [joint_ms, two_pow_ms] = MedianMs(joint_verify, two_pow_verify);
+
+  // Nonces shaped like Sign's k = H(x || m) mod n, raised to g both ways.
+  std::vector<U256> nonces;
+  for (size_t i = 0; i < num_nonces; ++i) {
+    nonces.push_back(U256::Mod(
+        U256::FromHash(Sha256Digest(ToBytes(
+            "field-micro-k-" + std::to_string(seed) + "-" +
+            std::to_string(i)))),
+        SchnorrGroup::N()));
   }
-  double joint_ms = WallMs(start);
-  start = std::chrono::steady_clock::now();
-  std::vector<bool> two_pow;
-  for (const BatchItem& item : sigs) {
-    two_pow.push_back(TwoPowVerify(item.key, item.message, item.sig));
-  }
-  double two_pow_ms = WallMs(start);
+  std::vector<U256> comb(nonces.size());
+  std::vector<U256> ladder(nonces.size());
+  auto comb_pow = [&] {
+    for (size_t i = 0; i < nonces.size(); ++i) {
+      comb[i] = U256::PowMod(SchnorrGroup::G(), nonces[i], p);
+    }
+  };
+  auto ladder_pow = [&] {
+    for (size_t i = 0; i < nonces.size(); ++i) {
+      ladder[i] = LadderPowG(nonces[i]);
+    }
+  };
+  const auto [comb_ms, ladder_ms] = MedianMs(comb_pow, ladder_pow);
 
   bool ok = true;
   if (fast != oracle) {
@@ -223,9 +293,15 @@ bool RunFieldMicro(size_t mulmods, size_t num_sigs, uint64_t seed,
                 "two-PowMod equation\n");
     ok = false;
   }
+  if (comb != ladder) {
+    std::printf("CRYPTO MICRO FAILURE: comb g^k disagrees with the "
+                "square-and-multiply ladder\n");
+    ok = false;
+  }
 
   double mulmod_speedup = fast_ms > 0.0 ? oracle_ms / fast_ms : 0.0;
   double verify_speedup = joint_ms > 0.0 ? two_pow_ms / joint_ms : 0.0;
+  double sign_speedup = comb_ms > 0.0 ? ladder_ms / comb_ms : 0.0;
   std::printf("MulMod mod p: %zu chained, fold %.1f ns vs Knuth %.1f ns "
               "(%.2fx)\n",
               mulmods, 1e6 * fast_ms / mulmods, 1e6 * oracle_ms / mulmods,
@@ -234,8 +310,12 @@ bool RunFieldMicro(size_t mulmods, size_t num_sigs, uint64_t seed,
               "(%.2fx)\n",
               sigs.size(), 1e3 * joint_ms / sigs.size(),
               1e3 * two_pow_ms / sigs.size(), verify_speedup);
+  std::printf("g^k: %zu nonces, comb %.1f us vs ladder %.1f us (%.2fx)\n",
+              nonces.size(), 1e3 * comb_ms / nonces.size(),
+              1e3 * ladder_ms / nonces.size(), sign_speedup);
   json->AddMetric("crypto_field_mulmod_speedup", mulmod_speedup, "x");
   json->AddMetric("crypto_verify_speedup", verify_speedup, "x");
+  json->AddMetric("crypto_sign_speedup", sign_speedup, "x");
   return ok;
 }
 
@@ -271,7 +351,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n=== Field arithmetic for p = 2^255 - 19: fast paths vs "
               "references ===\n");
-  ok = RunFieldMicro(1000 * num_certs, num_certs, seed, &json) && ok;
+  ok = RunFieldMicro(1000 * num_certs, num_certs, 10 * num_certs, seed,
+                     &json) &&
+       ok;
   // The exact-gated conformance bit: both paths agreed on every cert and
   // blame attribution worked. The wall-clock metrics above are advisory.
   json.AddMetric("conformance_ok", ok ? 1 : 0);

@@ -1,5 +1,6 @@
 #include "crypto/u256.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace xdeal {
@@ -216,12 +217,57 @@ U256 MulModP25519(const U256& a, const U256& b) {
   return ReduceP25519(r[0], r[1], r[2], r[3], carry);
 }
 
-// 2a mod p for a < p, the only doubling MultiExpMod makes:
-// 2a < 2p < 2^256, so the shift carries nothing out of bit 255.
-U256 DoubleModP25519(const U256& a) {
-  return ReduceP25519(a.limb(0) << 1, (a.limb(1) << 1) | (a.limb(0) >> 63),
-                      (a.limb(2) << 1) | (a.limb(1) >> 63),
-                      (a.limb(3) << 1) | (a.limb(2) >> 63), 0);
+// 2^shift · a mod p for a < p and shift in [1, 4]: how MultiExpMod
+// multiplies in the base 2. The bits shifted past 2^256 (fewer than 8, as
+// a < 2^255) fold back in as 38 each.
+U256 ShiftModP25519(const U256& a, unsigned shift) {
+  const unsigned back = 64 - shift;
+  return ReduceP25519(a.limb(0) << shift,
+                      (a.limb(1) << shift) | (a.limb(0) >> back),
+                      (a.limb(2) << shift) | (a.limb(1) >> back),
+                      (a.limb(3) << shift) | (a.limb(2) >> back),
+                      a.limb(3) >> back);
+}
+
+// Nibble i of e, i in [0, 64), nibble 0 least significant.
+unsigned Nibble(const U256& e, int i) {
+  return (e.limb(i / 16) >> (4 * (i % 16))) & 0xF;
+}
+
+// The fixed-base comb for g = 2 (Brickell, Gordon, McCurley and Wilson,
+// "Fast exponentiation with precomputation", EUROCRYPT '92):
+// row i holds 2^(j·16^i) mod p for j in [0, 16). 64 rows of 16 U256 are
+// 32 KB, built on first use (a function-local static, so thread-safe) from
+// 4 squarings and 14 multiplies per row.
+using CombTable = std::array<std::array<U256, 16>, 64>;
+
+const CombTable& CombP25519() {
+  static const CombTable table = [] {
+    CombTable t;
+    U256 row_base(2);  // 2^(16^i)
+    for (int i = 0; i < 64; ++i) {
+      t[i][0] = U256(1);
+      t[i][1] = row_base;
+      for (int j = 2; j < 16; ++j) {
+        t[i][j] = MulModP25519(t[i][j - 1], row_base);
+      }
+      for (int s = 0; s < 4; ++s) row_base = MulModP25519(row_base, row_base);
+    }
+    return t;
+  }();
+  return table;
+}
+
+// 2^e mod p for any 256-bit e = Σ nibble_i(e)·16^i, as the product of one
+// comb entry per nonzero nibble: at most 63 multiplies and no squarings.
+U256 CombPowTwoP25519(const U256& e) {
+  const CombTable& comb = CombP25519();
+  U256 result = comb[0][Nibble(e, 0)];
+  for (int i = 1; i < 64; ++i) {
+    const unsigned nibble = Nibble(e, i);
+    if (nibble != 0) result = MulModP25519(result, comb[i][nibble]);
+  }
+  return result;
 }
 
 }  // namespace
@@ -387,6 +433,7 @@ U256 U512::Mod(const U256& m) const {
 }
 
 U256 U256::Mod(const U256& a, const U256& m) {
+  if (a < m) return a;
   uint32_t digits[8];
   uint64_t al[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
   ToDigits(al, 4, digits);
@@ -426,24 +473,40 @@ U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                        const U256& m) {
   if (m == U256(1)) return U256();
   const bool mod_p = m == kP25519;
-
-  std::vector<U256> bases;
-  bases.reserve(terms.size());
-  int bits = 0;
-  for (const auto& [base, exp] : terms) {
-    bases.push_back(Mod(base, m));
-    if (exp.BitLength() > bits) bits = exp.BitLength();
+  const size_t k = terms.size();
+  if (mod_p && k == 1 && Mod(terms[0].first, m) == U256(2)) {
+    return CombPowTwoP25519(terms[0].second);
   }
-  // One shared squaring chain over the longest exponent; at each bit
-  // position, multiply in every base whose exponent has that bit set. Mod p,
-  // multiplying in the base 2 (the generator g) is a doubling.
+
+  // Per term, the powers 1..15 of the reduced base; mod p the base 2 needs
+  // none, as multiplying it in is a shift.
+  std::vector<std::array<U256, 16>> tables(k);
+  std::vector<bool> shifts(k);
+  int bits = 0;
+  for (size_t t = 0; t < k; ++t) {
+    const U256 base = Mod(terms[t].first, m);
+    bits = std::max(bits, terms[t].second.BitLength());
+    shifts[t] = mod_p && base == U256(2);
+    if (shifts[t]) continue;
+    tables[t][1] = base;
+    for (int j = 2; j < 16; ++j) {
+      tables[t][j] = MulMod(tables[t][j - 1], base, m);
+    }
+  }
+  // 4-bit fixed windows over the longest exponent, most significant first:
+  // each window shares 4 squarings across every term, then multiplies in
+  // each term's table entry for its nibble of that window.
+  const int top = (bits + 3) / 4 - 1;
   U256 result(1);
-  for (int i = bits - 1; i >= 0; --i) {
-    result = MulMod(result, result, m);
-    for (size_t t = 0; t < terms.size(); ++t) {
-      if (!terms[t].second.Bit(i)) continue;
-      result = mod_p && bases[t] == U256(2) ? DoubleModP25519(result)
-                                            : MulMod(result, bases[t], m);
+  for (int w = top; w >= 0; --w) {
+    if (w != top) {
+      for (int s = 0; s < 4; ++s) result = MulMod(result, result, m);
+    }
+    for (size_t t = 0; t < k; ++t) {
+      const unsigned nibble = Nibble(terms[t].second, w);
+      if (nibble == 0) continue;
+      result = shifts[t] ? ShiftModP25519(result, nibble)
+                         : MulMod(result, tables[t][nibble], m);
     }
   }
   return result;

@@ -7,10 +7,20 @@
 //
 // Reduction is chosen from the modulus value. For m == p, every multiply in
 // MulMod, PowMod and MultiExpMod folds the high half of the product in with
-// 2^256 ≡ 38 (mod p), and a multiply by the base 2 is a doubling. Knuth
-// Algorithm D division serves every other modulus (n = p - 1 in particular),
-// the one-off reductions of Mod/AddMod/SubMod/InvMod, and U512::Mod, which
-// stays the reference the fast path is tested against.
+// 2^256 ≡ 38 (mod p). Knuth Algorithm D division serves every other modulus
+// (n = p - 1 in particular), the one-off reductions of Mod/AddMod/SubMod/
+// InvMod on inputs that are not yet below m, and U512::Mod, which stays the
+// reference the fast path is tested against.
+//
+// Exponentiation is chosen from the base and modulus values too:
+//   - 2^e mod p alone (keygen's y = g^x and Sign's r = g^k) multiplies one
+//     entry per nonzero 4-bit nibble of e out of a fixed-base comb table
+//     (Brickell-Gordon-McCurley-Wilson), 2^(j·16^i) mod p for i < 64 and
+//     j < 16: 32 KB built once on first use, then at most 63 multiplies and
+//     no squarings for any 256-bit e;
+//   - everything else runs 4-bit fixed windows over one shared squaring
+//     chain, with a 15-entry power table per base; mod p the base 2 needs
+//     no table, as multiplying by 2^nibble is a shift and a fold.
 
 #ifndef XDEAL_CRYPTO_U256_H_
 #define XDEAL_CRYPTO_U256_H_
@@ -111,19 +121,24 @@ class U256 {
   /// (a · b) mod m, for any a, b (operands need not be reduced). Folds by
   /// 38 when m is the Schnorr prime, otherwise reduces by Knuth division.
   static U256 MulMod(const U256& a, const U256& b, const U256& m);
-  /// base^exp mod m: MultiExpMod with the single term (base, exp).
+  /// base^exp mod m: MultiExpMod with the single term (base, exp). For
+  /// base ≡ 2 and m == p this is the fixed-base comb (at most 63 multiplies).
   static U256 PowMod(const U256& base, const U256& exp, const U256& m);
-  /// a mod m, by Knuth division.
+  /// a mod m: `a` itself when a < m, otherwise by Knuth division.
   static U256 Mod(const U256& a, const U256& m);
 
   /// Simultaneous multi-exponentiation: Π base_i^{exp_i} mod m over all
-  /// (base, exp) pairs in `terms`, via an interleaved square-and-multiply
-  /// that shares ONE squaring chain across every term (Shamir's trick
-  /// generalized to k bases). For k terms of b-bit exponents this costs
-  /// b squarings + (set bits) multiplies instead of k·b squarings — the
-  /// kernel behind Schnorr verification, single and batched. For the
-  /// Schnorr prime, multiplying in a base of 2 is a doubling. `m` must be
-  /// nonzero; an empty `terms` yields 1 mod m.
+  /// (base, exp) pairs in `terms`, via 4-bit fixed windows that share ONE
+  /// squaring chain across every term (Shamir's trick generalized to k
+  /// bases). Each base gets a table of its powers 1..15 (14 multiplies, 512
+  /// bytes); each window of the longest exponent then costs 4 squarings
+  /// plus one table multiply per term whose nibble there is nonzero. For k
+  /// terms of b-bit exponents that is about b squarings + k·(14 + b/4)
+  /// multiplies instead of k·b squarings — the kernel behind Schnorr
+  /// verification, single and batched. Mod p, a base of 2 needs no table:
+  /// multiplying by 2^nibble is a shift and a fold by 38. The single term
+  /// 2^e mod p takes the fixed-base comb instead (see the file comment).
+  /// `m` must be nonzero; an empty `terms` yields 1 mod m.
   static U256 MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                           const U256& m);
 

@@ -1,10 +1,11 @@
-// Schnorr signature round-trips, forgery rejection, determinism, and
-// serialization.
+// Schnorr signature round-trips, forgery rejection, determinism,
+// serialization, and keygen/Sign from worker threads on a cold comb table.
 
 #include "crypto/schnorr.h"
 
 #include <gtest/gtest.h>
 
+#include "sim/worker_pool.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -130,10 +131,11 @@ TEST(SchnorrBatchTest, EmptyBatchVerifiesTrivially) {
 }
 
 TEST(SchnorrBatchTest, ValidBatchesMatchIndividualVerification) {
-  // Batch sizes covering 2f+1 for f in {0..4} plus a single-item batch:
-  // the combined check must accept exactly when every item verifies alone,
-  // without running the fallback.
-  for (size_t k : {1u, 3u, 5u, 7u, 9u}) {
+  // Every batch size from 1 to 11, so the windowed multi-exponentiation
+  // runs 3 to 23 terms: the combined check must accept exactly when every
+  // item verifies alone, without running the fallback, and one tampered
+  // item must fail both ways.
+  for (size_t k = 1; k <= 11; ++k) {
     std::vector<BatchItem> items = MakeBatch(k, "ok-" + std::to_string(k));
     for (const BatchItem& item : items) {
       ASSERT_TRUE(Verify(item.key, item.message, item.sig));
@@ -142,6 +144,13 @@ TEST(SchnorrBatchTest, ValidBatchesMatchIndividualVerification) {
     EXPECT_TRUE(verdict.ok) << "k=" << k;
     EXPECT_FALSE(verdict.used_fallback) << "k=" << k;
     EXPECT_EQ(verdict.first_bad, -1) << "k=" << k;
+
+    const size_t bad = k / 2;
+    items[bad].sig.s = items[bad].sig.s.Add(U256(1));
+    EXPECT_FALSE(Verify(items[bad].key, items[bad].message, items[bad].sig));
+    verdict = BatchVerify(items);
+    EXPECT_FALSE(verdict.ok) << "k=" << k;
+    EXPECT_EQ(verdict.first_bad, static_cast<int>(bad)) << "k=" << k;
   }
 }
 
@@ -294,6 +303,34 @@ TEST(SchnorrBatchTest, QuorumShapedBatchesAgreeWithPerSigOverManySeeds) {
     EXPECT_EQ(verdict.ok, all_valid) << "round " << round;
     EXPECT_EQ(verdict.first_bad, first_bad) << "round " << round;
     EXPECT_EQ(verdict.used_fallback, corrupted >= 0) << "round " << round;
+  }
+}
+
+TEST(SchnorrConcurrencyTest, ColdCombTableFromFourWorkerPoolThreads) {
+  // ctest runs each test case in its own process, so the fixed-base comb
+  // table for g = 2 is still unbuilt when the four workers first reach it
+  // through keygen and Sign. Their results must match a single-threaded
+  // rerun, computed afterwards so it cannot warm the table first.
+  constexpr size_t kParties = 64;
+  const auto seed = [](size_t i) { return "cold-comb-" + std::to_string(i); };
+  const auto message = [](size_t i) {
+    return ToBytes("cold comb vote " + std::to_string(i));
+  };
+  std::vector<PublicKey> keys(kParties);
+  std::vector<Signature> sigs(kParties);
+  {
+    WorkerPool pool(4);
+    pool.ParallelFor(kParties, [&](size_t i) {
+      KeyPair kp = KeyPair::FromSeed(seed(i));
+      keys[i] = kp.public_key();
+      sigs[i] = kp.Sign(message(i));
+    });
+  }
+  for (size_t i = 0; i < kParties; ++i) {
+    KeyPair kp = KeyPair::FromSeed(seed(i));
+    EXPECT_EQ(keys[i], kp.public_key()) << "party " << i;
+    EXPECT_EQ(sigs[i], kp.Sign(message(i))) << "party " << i;
+    EXPECT_TRUE(Verify(keys[i], message(i), sigs[i])) << "party " << i;
   }
 }
 

@@ -1,8 +1,9 @@
 // U256 arithmetic: hex round-trips, comparison, add/sub/mul/mod identities,
 // Knuth-division cross-checked against __int128 for small values and against
 // algebraic identities for full-width values; the fold reduction for the
-// Schnorr prime, the base-2 doubling and the joint Verify cross-checked
-// against U512::Mul(a, b).Mod(m).
+// Schnorr prime, the fixed-base comb for 2, the 4-bit windowed
+// multi-exponentiation and the joint Verify cross-checked against
+// square-and-multiply on U512::Mul(a, b).Mod(m).
 
 #include "crypto/u256.h"
 
@@ -137,6 +138,26 @@ TEST(U256Test, ModIdentityFullWidth) {
     U256 r = U256::Mod(a, m);
     EXPECT_LT(r, m);
     EXPECT_TRUE(U256::SubMod(a, r, m).IsZero());
+  }
+}
+
+TEST(U256Test, ModAtTheModulusBoundary) {
+  // Inputs below m come back as they are; m itself and everything above it
+  // still reduce. U512::Mod always divides, so it is the reference.
+  Rng rng(29);
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  for (const U256& m : {U256(1), U256(7), SchnorrGroup::P(), SchnorrGroup::N(),
+                        RandomU256(&rng)}) {
+    std::vector<U256> values = {U256(),           U256(1), m.Sub(U256(1)), m,
+                                m.Add(U256(1)),   max,     RandomU256(&rng)};
+    uint64_t carry = 0;
+    U256 twice_less_one = m.AddWithCarry(m.Sub(U256(1)), &carry);
+    if (carry == 0) values.push_back(twice_less_one);
+    for (const U256& a : values) {
+      EXPECT_EQ(U256::Mod(a, m), U512::Mul(a, U256(1)).Mod(m))
+          << a.ToHex() << " mod " << m.ToHex();
+    }
+    EXPECT_TRUE(U256::Mod(m, m).IsZero());
   }
 }
 
@@ -370,24 +391,59 @@ TEST(U256FastPathTest, ModuliNextToPTakeTheGenericPath) {
 }
 
 TEST(U256FastPathTest, PowModBaseTwoMatchesOracle) {
+  // PowMod(2, e, p) is the fixed-base comb, for every 256-bit e.
   const U256& p = SchnorrGroup::P();
   const U256& n = SchnorrGroup::N();
-  std::vector<U256> exps = {U256(),    U256(1),        U256(2),
-                            U256(255), U256(256),      n.Sub(U256(1)),
-                            n,         p,              kMax256};
+  std::vector<U256> exps = {U256(),          U256(1),  U256(2),
+                            U256(15),        U256(16), U256(255),
+                            U256(256),       n.Sub(U256(1)), n,
+                            p.Sub(U256(1)),  p,        U256(1).ShiftLeft(255),
+                            kMax256};
+  // 2^(4k) ± 1: the nibble boundaries, where the comb changes row.
+  for (unsigned k = 1; k < 64; ++k) {
+    exps.push_back(U256(1).ShiftLeft(4 * k).Add(U256(1)));
+    exps.push_back(U256(1).ShiftLeft(4 * k).Sub(U256(1)));
+  }
+  // Every single-nibble pattern j·16^i: each comb entry on its own.
+  for (unsigned i = 0; i < 64; ++i) {
+    for (uint64_t j = 1; j < 16; ++j) {
+      exps.push_back(U256(j).ShiftLeft(4 * i));
+    }
+  }
   Rng rng(61);
-  for (int i = 0; i < 12; ++i) exps.push_back(RandomU256(&rng));
+  for (int i = 0; i < 2000; ++i) exps.push_back(RandomU256(&rng));
   for (const U256& e : exps) {
-    EXPECT_EQ(U256::PowMod(U256(2), e, p), OraclePowMod(U256(2), e, p))
+    ASSERT_EQ(U256::PowMod(U256(2), e, p), OraclePowMod(U256(2), e, p))
         << e.ToHex();
   }
-  // A base that reduces to 2 takes the doubling path too.
+  // A base that reduces to 2 takes the comb too.
   U256 e = RandomU256(&rng);
   EXPECT_EQ(U256::PowMod(p.Add(U256(2)), e, p), OraclePowMod(U256(2), e, p));
 }
 
+// The product of oracle powers Π base_i^{e_i} mod m, each base reduced.
+U256 OracleMultiExp(const std::vector<std::pair<U256, U256>>& terms,
+                    const U256& m) {
+  U256 expect = U256::Mod(U256(1), m);
+  for (const auto& [base, e] : terms) {
+    expect = OracleMulMod(
+        expect, OraclePowMod(OracleMulMod(base, U256(1), m), e, m), m);
+  }
+  return expect;
+}
+
+std::string TermsToString(const std::vector<std::pair<U256, U256>>& terms) {
+  std::string out;
+  for (const auto& [base, e] : terms) {
+    out += "(" + base.ToHex() + ", " + e.ToHex() + ") ";
+  }
+  return out;
+}
+
 TEST(U256FastPathTest, PowModAndMultiExpOtherBasesMatchOracle) {
+  // Every call but the single term 2^e mod p runs the 4-bit windows.
   const U256& p = SchnorrGroup::P();
+  const U256& n = SchnorrGroup::N();
   Rng rng(67);
   for (int i = 0; i < 6; ++i) {
     U256 base = RandomU256(&rng);
@@ -395,17 +451,66 @@ TEST(U256FastPathTest, PowModAndMultiExpOtherBasesMatchOracle) {
     U256 reduced = OracleMulMod(base, U256(1), p);
     EXPECT_EQ(U256::PowMod(base, e, p), OraclePowMod(reduced, e, p));
   }
-  // Mixed terms, one on base 2, against a product of oracle powers.
-  std::vector<std::pair<U256, U256>> terms = {
-      {U256(2), RandomU256(&rng)},
-      {RandomU256(&rng), RandomU256(&rng)},
-      {p.Sub(U256(1)), RandomU256(&rng)}};
-  U256 expect(1);
-  for (const auto& [base, e] : terms) {
-    expect = OracleMulMod(
-        expect, OraclePowMod(OracleMulMod(base, U256(1), p), e, p), p);
+  // Bases: 0, 1, the base 2, p - 1 (order 2), bases at and above p (p + 2
+  // reduces to 2), and random ones on either side of p.
+  auto pick_base = [&]() -> U256 {
+    switch (rng.Next64() % 9) {
+      case 0: return U256();
+      case 1: return U256(1);
+      case 2: return U256(2);
+      case 3: return p.Add(U256(2));
+      case 4: return p;
+      case 5: return p.Add(RandomU256(&rng).ShiftRight(200));
+      case 6: return p.Sub(U256(1));
+      default: return RandomU256(&rng);
+    }
+  };
+  // Exponents: 0, 255-bit e below n, 128-bit z, full 256-bit values, and
+  // short ones whose upper windows are all leading zero nibbles.
+  auto pick_exp = [&]() -> U256 {
+    switch (rng.Next64() % 6) {
+      case 0: return U256();
+      case 1: return U256::Mod(RandomU256(&rng), n);
+      case 2: return RandomU256(&rng).ShiftRight(128);
+      case 3: return RandomU256(&rng);
+      case 4: return U256(rng.Next64() & 0xFFFFF);
+      default: return RandomU256(&rng).ShiftRight(rng.Next64() % 256);
+    }
+  };
+  const std::vector<U256> moduli = {
+      p, n, p.Add(U256(2)), RandomU256(&rng).ShiftRight(1).Add(U256(1))};
+  for (const U256& m : moduli) {
+    for (size_t k = 1; k <= 11; ++k) {
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<std::pair<U256, U256>> terms;
+        for (size_t t = 0; t < k; ++t) {
+          U256 base = pick_base();
+          terms.emplace_back(base, pick_exp());
+        }
+        ASSERT_EQ(U256::MultiExpMod(terms, m), OracleMultiExp(terms, m))
+            << "m=" << m.ToHex() << " terms " << TermsToString(terms);
+      }
+    }
   }
-  EXPECT_EQ(U256::MultiExpMod(terms, p), expect);
+  // The Verify and BatchVerify shapes: base 2 beside other bases, a 128-bit
+  // exponent beside 255-bit ones, and p + 2 standing in for 2.
+  const U256 y = RandomU256(&rng).ShiftRight(1);
+  const U256 r = RandomU256(&rng).ShiftRight(1);
+  const U256 z = RandomU256(&rng).ShiftRight(128);
+  const U256 e = U256::Mod(RandomU256(&rng), n);
+  const std::vector<std::vector<std::pair<U256, U256>>> shapes = {
+      {{U256(2), e}, {y, n.Sub(e)}},
+      {{p.Add(U256(2)), e}, {y, z}},
+      {{r, z}, {y, e}, {U256(2), n.Sub(z)}},
+      {{U256(2), z}, {U256(2), e}},
+      {{U256(2), U256()}, {y, U256()}},
+      {{U256(), e}, {U256(1), e}, {U256(2), U256(1)}}};
+  for (const auto& terms : shapes) {
+    EXPECT_EQ(U256::MultiExpMod(terms, p), OracleMultiExp(terms, p))
+        << TermsToString(terms);
+  }
+  EXPECT_EQ(U256::MultiExpMod({}, p), U256(1));
+  EXPECT_EQ(U256::MultiExpMod({{y, e}}, U256(1)), U256());
 }
 
 // The verification equation before the joint form: g^s == r · y^e, with
